@@ -90,6 +90,9 @@ def _cmd_check(args) -> int:
         print(f"shapes differ: {a.shape} vs {b.shape}", file=sys.stderr)
         return 1
     v = equal_up_to_scalar(a, b, tol)
+    if v.equal and v.scalar is None:
+        print("equal: both are the zero map")
+        return 0
     if v.equal:
         print(f"equal up to scalar {v.scalar:.9g} (residual {v.residual:.3e})")
         return 0
@@ -201,10 +204,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         args.samples = 100 if args.campaign == "rules" else 1000
     try:
         return args.func(args)
-    except (UsageError, ZxcSyntaxError, ZxgFormatError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as e:
+    except (
+        UsageError, ZxcSyntaxError, ZxgFormatError, ValueError, OSError, ResourceLimitError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ exclusively held instance.  There is no shared global state.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from typing import Iterator, NamedTuple
 
@@ -359,17 +360,20 @@ class Diagram:
 
     # -- comparison ----------------------------------------------------------
 
+    def _tags(self) -> dict[int, tuple]:
+        """Relabelling-invariant vertex tags: ``(port kind, position)``,
+        ``("H",)`` or ``(spider kind, phase)``."""
+        tags: dict[int, tuple] = {
+            v: ("H",) if kind == VertexKind.H else (kind, self._phases.get(v))
+            for v, kind in self._kinds.items()
+        }
+        tags.update((v, ("in", i)) for i, v in enumerate(self._inputs))
+        tags.update((v, ("out", i)) for i, v in enumerate(self._outputs))
+        return tags
+
     def _to_networkx(self) -> "nx.Graph":
         g = nx.Graph()
-        for v, kind in self._kinds.items():
-            if kind == VertexKind.IN:
-                tag: tuple = ("in", self._inputs.index(v))
-            elif kind == VertexKind.OUT:
-                tag = ("out", self._outputs.index(v))
-            elif kind == VertexKind.H:
-                tag = ("H",)
-            else:
-                tag = (kind, self._phases[v])
+        for v, tag in self._tags().items():
             g.add_node(v, tag=tag, wl=_wl_token(tag))
         for u, v, m in self.edges():
             g.add_edge(u, v, mult=m)
@@ -391,17 +395,35 @@ class Diagram:
         )
 
     def digest(self) -> str:
-        """8-hex-char structural digest, invariant under relabelling."""
-        h = nx.weisfeiler_lehman_graph_hash(
-            self._to_networkx(), edge_attr="mult", node_attr="wl", iterations=4
-        )
-        return h[:8]
+        """8-hex-char structural digest, invariant under relabelling.
+
+        A 4-round Weisfeiler-Lehman hash: each round a vertex's label
+        becomes the hash of its own label followed by the sorted
+        ``f"{mult}{label}"`` of its neighbours (self-loops included), and
+        the sorted label counts of every round are hashed together.  It
+        equals ``nx.weisfeiler_lehman_graph_hash(self._to_networkx(),
+        edge_attr="mult", node_attr="wl", iterations=4)[:8]``.
+        """
+        labels = {v: _wl_token(tag) for v, tag in self._tags().items()}
+        legs = [(v, [(str(m), w) for w, m in c.items()]) for v, c in self._adj.items()]
+        counts: list = []
+        for _ in range(4):
+            labels = {
+                v: _wl_hash(labels[v] + "".join(sorted([m + labels[w] for m, w in ws])))
+                for v, ws in legs
+            }
+            counts.extend(sorted(Counter(labels.values()).items()))
+        return _wl_hash(str(tuple(counts)))[:8]
 
     def __repr__(self) -> str:
         return (
             f"<Diagram {self.n_inputs}->{self.n_outputs}, "
             f"{self.spider_count} spiders, {self.hbox_count} H, {self.n_edges} edges>"
         )
+
+
+def _wl_hash(label: str) -> str:
+    return hashlib.blake2b(label.encode("ascii"), digest_size=16).hexdigest()
 
 
 def _wl_token(tag: tuple) -> str:

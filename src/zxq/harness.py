@@ -25,7 +25,7 @@ from .circuits import (
     selinger_bian_fixtures,
 )
 from .diagram import Diagram, VertexKind, opposite
-from .phase import TWO_PI, Phase
+from .phase import TWO_PI, Phase, circular_distance
 from .phase_algebra import (
     EulerTriple,
     GeneralPhaseTriple,
@@ -355,11 +355,6 @@ def _draw_swappable(rng: random.Random, max_tries: int = 50) -> GeneralPhaseTrip
     raise RuntimeError("could not draw a non-singular triple")
 
 
-def _mod_dist(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 def verify_p_formulas(seed: int = 0, samples: int = 1000, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Closed-form campaign: the generalised colour-swap identity, the
     Euler-angle recomposition, both special-case side conditions, and the
@@ -397,7 +392,7 @@ def verify_p_formulas(seed: int = 0, samples: int = 1000, tol: float = DEFAULT_T
             continue
         out = p_rule_angles(t)
         ext = euler_xzx_extract(zxz_matrix(t))
-        d = max(_mod_dist(a, b) for a, b in zip(out.radians, ext.radians))
+        d = max(circular_distance(a, b) for a, b in zip(out.radians, ext.radians))
         worst = max(worst, d)
         rep.cases += 1
         if d > 1e-7:
@@ -418,7 +413,7 @@ def verify_p_formulas(seed: int = 0, samples: int = 1000, tol: float = DEFAULT_T
     for i in range(n_special):
         a, b, t = _constrained(rng, +1)
         out = p_rule_angles(t)
-        gap = _mod_dist(out.alpha.radians, out.gamma.radians)
+        gap = circular_distance(out.alpha.radians, out.gamma.radians)
         worst = max(worst, gap)
         rep.cases += 1
         if gap > tol:
@@ -429,7 +424,7 @@ def verify_p_formulas(seed: int = 0, samples: int = 1000, tol: float = DEFAULT_T
     for i in range(n_special):
         a, b, t = _constrained(rng, -1)
         out = p_rule_angles(t)
-        gap = _mod_dist(out.alpha.radians, math.pi + out.gamma.radians)
+        gap = circular_distance(out.alpha.radians, math.pi + out.gamma.radians)
         worst = max(worst, gap)
         rep.cases += 1
         if gap > tol:

@@ -4,7 +4,7 @@ import pytest
 
 from zxq import diagram_io
 from zxq.cli import cli_main
-from zxq.diagram import VertexKind, spider_diagram
+from zxq.diagram import VertexKind, identity_diagram, spider_diagram
 from zxq.phase import Phase
 
 
@@ -46,6 +46,14 @@ def test_check_mixed_formats(files):
 
 def test_check_unequal_exits_one(files):
     assert cli_main(["check", str(files / "t.zxc"), str(files / "s.zxc")]) == 1
+
+
+def test_check_two_zero_maps(files, capsys):
+    z = identity_diagram(1)
+    z.add_vertex(VertexKind.Z, Phase.pi())  # scalar 1 + e^(i pi) = 0
+    diagram_io.save(z, str(files / "z.zxg"))
+    assert cli_main(["check", str(files / "z.zxg"), str(files / "z.zxg")]) == 0
+    assert capsys.readouterr().out == "equal: both are the zero map\n"
 
 
 def test_check_tolerance_flag(files):

@@ -207,3 +207,86 @@ def test_phase_only_on_spiders():
         d.set_phase(h, Phase.zero())
     with pytest.raises(InvalidDiagramError):
         d.add_vertex(VertexKind.H, Phase.zero())
+
+
+# -- digest: the direct WL hash against networkx's ------------------------------
+
+
+def nx_digest(d: Diagram) -> str:
+    import networkx as nx
+
+    return nx.weisfeiler_lehman_graph_hash(
+        d._to_networkx(), edge_attr="mult", node_attr="wl", iterations=4
+    )[:8]
+
+
+def _hand_built_diagrams() -> dict:
+    loops = spider_diagram(VertexKind.Z, Phase.exact(1, 4), 1, 1)
+    loops.add_edge(0, 0, 2)
+
+    multi = Diagram()
+    a = multi.add_vertex(VertexKind.Z)
+    b = multi.add_vertex(VertexKind.X, Phase.exact(1, 2))
+    multi.add_edge(a, b, 3)
+    multi.add_edge(multi.add_input(), a)
+    multi.add_edge(b, multi.add_output())
+
+    hboxes = Diagram()
+    z = hboxes.add_vertex(VertexKind.Z, Phase.pi())
+    prev = hboxes.add_input()
+    for _ in range(3):
+        h = hboxes.add_vertex(VertexKind.H)
+        hboxes.add_edge(prev, h)
+        prev = h
+    hboxes.add_edge(prev, z)
+    hboxes.add_edge(z, hboxes.add_output())
+
+    radians = spider_diagram(VertexKind.X, Phase.approx(1.2345678901), 2, 1)
+    radians.add_vertex(VertexKind.Z, Phase.approx(-0.5))
+
+    isolated = identity_diagram(1)
+    isolated.add_vertex(VertexKind.Z, Phase.pi())
+    isolated.add_vertex(VertexKind.X)
+
+    return {
+        "self-loops": loops,
+        "multi-edges": multi,
+        "H-boxes": hboxes,
+        "radian phases": radians,
+        "isolated spiders": isolated,
+        "empty": empty_diagram(),
+        "boundary only": identity_diagram(3),
+        "cap": cap_diagram(),
+        "cup": cup_diagram(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hand_built_diagrams()))
+def test_digest_matches_networkx_on_hand_built(name):
+    d = _hand_built_diagrams()[name]
+    assert d.digest() == nx_digest(d)
+
+
+def test_digest_matches_networkx_on_circuits_and_rule_results():
+    import random
+
+    from zxq.circuits import circuit_to_diagram
+    from zxq.harness import random_clifford_t_circuit
+    from zxq.rewrite import RULES
+
+    states = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        d = circuit_to_diagram(random_clifford_t_circuit(rng, 1 + seed % 3, 30))
+        states.append(d)
+        for rule in RULES.values():
+            states.extend(rule.apply(d, site) for site in rule.find(d)[:2])
+    assert any(not d.phase(v).is_exact for d in states for v in d.spiders())
+    for d in states:
+        assert d.digest() == nx_digest(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_diagrams())
+def test_digest_matches_networkx_on_random_diagrams(d):
+    assert d.digest() == nx_digest(d)

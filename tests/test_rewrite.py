@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,3 +460,54 @@ def test_registered_reverse_orientations_are_sound():
             out = rule.apply_reverse(d, sites[0])
             out.validate()
             assert_semantics_preserved(d, out)
+
+
+# -- trace regressions ------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_circuit():
+    return circuit_to_diagram(parse_circuit((GOLDEN / "trace_3q.zxc").read_text()))
+
+
+@pytest.mark.parametrize("mode, config", [("plain", None), ("full", FULL_STRATEGY)])
+def test_trace_export_matches_golden(mode, config):
+    _, trace = simplify(_golden_circuit(), config)
+    expected = (GOLDEN / f"trace_3q_{mode}.txt").read_text().splitlines()
+    assert trace.export_lines() == expected
+
+
+@pytest.mark.parametrize("config", [None, FULL_STRATEGY])
+def test_trace_digests_chain(config):
+    d = _golden_circuit()
+    out, trace = simplify(d, config)
+    pairs = [line.rsplit(" digest:", 1)[1].split("->") for line in trace.export_lines()]
+    assert pairs[0][0] == d.digest()
+    for (_, after), (before, _) in zip(pairs, pairs[1:]):
+        assert after == before
+    assert pairs[-1][1] == out.digest() == trace.final.digest()
+
+
+def test_simplify_takes_no_digests(monkeypatch):
+    calls = []
+    original = Diagram.digest
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Diagram, "digest", counted)
+    _, trace = simplify(_golden_circuit(), FULL_STRATEGY)
+    assert trace.steps and not calls
+    trace.export_lines()
+    trace.export_lines()
+    assert len(calls) == len(trace.steps) + 1
+
+
+def test_strict_replay_checks_the_final_digest():
+    out, trace = simplify(_golden_circuit())
+    trace.final = identity_diagram(3)
+    assert trace.replay(strict=False).iso_equal(out)
+    with pytest.raises(RuleMatchError):
+        trace.replay()
