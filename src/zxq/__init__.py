@@ -13,7 +13,6 @@ from .circuits import (
     circuit_matrix,
     circuit_to_diagram,
     format_circuit,
-    is_clifford_t,
     parse_circuit,
     selinger_bian_fixtures,
 )
@@ -37,7 +36,7 @@ from .harness import (
     verify_relations,
     verify_rules,
 )
-from .phase import Phase, phase_add
+from .phase import Phase
 from .phase_algebra import (
     EulerTriple,
     GeneralPhaseTriple,

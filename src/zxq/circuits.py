@@ -3,7 +3,7 @@
 The ``.zxc`` text format: the first non-comment line is ``qubits N``,
 then one gate per line in application order (the first line acts first).
 ``#`` starts a comment.  Rotation phases are written ``p/d`` meaning
-(p/d)*pi, or ``f:<float>`` for plain radians.
+(p/d)*pi, or ``f:<float>`` for plain radians (:func:`zxq.phase.parse_phase`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .diagram import Diagram, VertexKind
-from .phase import Phase
+from .phase import Phase, parse_phase
 from .semantics import gate_matrix
 
 GATE_ARITY = {
@@ -77,24 +77,6 @@ class Circuit:
         return all(g.phase is None or g.phase.is_clifford_t for g in self.gates)
 
 
-def _parse_phase_token(tok: str, line: int) -> Phase:
-    if tok.startswith("f:"):
-        try:
-            return Phase.approx(float(tok[2:]))
-        except ValueError:
-            raise ZxcSyntaxError(line, f"bad float phase {tok!r}") from None
-    if "/" in tok:
-        num_s, den_s = tok.split("/", 1)
-        try:
-            num, den = int(num_s), int(den_s)
-        except ValueError:
-            raise ZxcSyntaxError(line, f"bad rational phase {tok!r}") from None
-        if den <= 0:
-            raise ZxcSyntaxError(line, "phase denominator must be positive")
-        return Phase.exact(num, den)
-    raise ZxcSyntaxError(line, f"bad phase {tok!r} (want p/d or f:<float>)")
-
-
 def parse_circuit(text: str) -> Circuit:
     """Parse ``.zxc`` text into a circuit."""
     width = None
@@ -125,7 +107,12 @@ def parse_circuit(text: str) -> Circuit:
             qubits = tuple(int(t) for t in toks[1 : 1 + arity])
         except ValueError:
             raise ZxcSyntaxError(lineno, "qubit indices must be integers") from None
-        phase = _parse_phase_token(toks[1 + arity], lineno) if name in _PARAMETRIC else None
+        phase = None
+        if name in _PARAMETRIC:
+            try:
+                phase = parse_phase(toks[1 + arity])
+            except ValueError as e:
+                raise ZxcSyntaxError(lineno, str(e)) from None
         if any(q < 0 or q >= width for q in qubits):
             raise ZxcSyntaxError(lineno, f"qubit index out of range 0..{width - 1}")
         if len(set(qubits)) != len(qubits):
@@ -282,7 +269,3 @@ def export_fixtures(directory: str) -> list[str]:
         written.append(path)
     return written
 
-
-def is_clifford_t(c: Circuit) -> bool:
-    """Module-level alias for :attr:`Circuit.is_clifford_t`."""
-    return c.is_clifford_t

@@ -9,6 +9,7 @@ tolerance; ``--tol`` overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -24,10 +25,12 @@ from .circuits import (
 )
 from .diagram_io import ZxgFormatError
 from .harness import verify_p_formulas, verify_relations, verify_rules
-from .phase import Phase
+from .phase import Phase, parse_phase
 from .phase_algebra import EulerTriple, p_rule_angles
 from .rewrite import FULL_STRATEGY, StrategyConfig, simplify
-from .semantics import DEFAULT_TOL, ResourceLimitError, equal_up_to_scalar, evaluate, matrix_to_text
+from .semantics import (
+    DEFAULT_ENTRY_CAP, DEFAULT_TOL, ResourceLimitError, equal_up_to_scalar, evaluate, matrix_to_text
+)
 
 
 class UsageError(Exception):
@@ -46,14 +49,12 @@ def _tolerance(args) -> float:
     return DEFAULT_TOL
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str, cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     """A .zxc file goes through the gate-matrix oracle, a .zxg through
-    diagram evaluation."""
+    diagram evaluation with intermediate tensors of at most ``cap`` entries."""
     if path.endswith(".zxc"):
         return circuit_matrix(load_circuit(path))
-    if path.endswith(".zxg"):
-        return evaluate(diagram_io.load(path))
-    raise UsageError(f"unknown file type (want .zxc or .zxg): {path!r}")
+    return evaluate(_load_diagram(path), max_entries=cap)
 
 
 def _load_diagram(path: str):
@@ -64,21 +65,17 @@ def _load_diagram(path: str):
     raise UsageError(f"unknown file type (want .zxc or .zxg): {path!r}")
 
 
-def _parse_phase_arg(text: str) -> Phase:
-    if text.startswith("f:"):
-        return Phase.approx(float(text[2:]))
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Phase.exact(int(num), int(den))
-    return Phase.approx(float(text))
+def _phase_arg(text: str) -> Phase:
+    """A phase in the ``.zxc`` grammar, or plain radians."""
+    try:
+        rad = float(text)
+    except ValueError:
+        return parse_phase(text)
+    return Phase.approx(rad)
 
 
 def _cmd_eval(args) -> int:
-    if args.file.endswith(".zxg"):
-        m = evaluate(diagram_io.load(args.file), max_entries=args.cap)
-    else:
-        m = _load_matrix(args.file)
-    sys.stdout.write(matrix_to_text(m))
+    sys.stdout.write(matrix_to_text(_load_matrix(args.file, args.cap)))
     return 0
 
 
@@ -104,9 +101,7 @@ def _cmd_simplify(args) -> int:
     d = _load_diagram(args.input)
     cfg = FULL_STRATEGY if args.full else StrategyConfig()
     if args.budget is not None:
-        cfg = StrategyConfig(
-            step_budget=args.budget, enabled_rules=cfg.enabled_rules, tolerance=cfg.tolerance
-        )
+        cfg = dataclasses.replace(cfg, step_budget=args.budget)
     out, trace = simplify(d, cfg)
     diagram_io.save(out, args.output)
     if args.trace:
@@ -121,9 +116,7 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    t = EulerTriple(
-        _parse_phase_arg(args.alpha), _parse_phase_arg(args.beta), _parse_phase_arg(args.gamma)
-    )
+    t = EulerTriple(_phase_arg(args.alpha), _phase_arg(args.beta), _phase_arg(args.gamma))
     out = p_rule_angles(t)
     a, b, g = out.radians
     print(f"{a:.15g} {b:.15g} {g:.15g}")
@@ -155,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="print the matrix of a .zxc or .zxg file")
     pe.add_argument("file")
-    pe.add_argument("--cap", type=int, default=1 << 20, help="intermediate tensor entry cap")
+    pe.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP, help="intermediate tensor entry cap")
     pe.set_defaults(func=_cmd_eval)
 
     pc = sub.add_parser("check", help="equivalence of two files up to a scalar")

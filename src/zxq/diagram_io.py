@@ -58,7 +58,10 @@ def _parse_phase(raw: Any, where: str) -> Phase:
     if set(raw) == {"rad"}:
         if not isinstance(raw["rad"], (int, float)):
             raise ZxgFormatError(f"{where}: rad must be a number")
-        return Phase.approx(float(raw["rad"]))
+        try:
+            return Phase.approx(float(raw["rad"]))
+        except ValueError as e:
+            raise ZxgFormatError(f"{where}: {e}") from None
     raise ZxgFormatError(f"{where}: phase needs keys num/den or rad")
 
 

@@ -36,7 +36,10 @@ class Phase:
         if self.frac is not None:
             object.__setattr__(self, "frac", self.frac % 2)
         else:
-            r = float(self.rad) % TWO_PI
+            r = float(self.rad)
+            if not math.isfinite(r):
+                raise ValueError(f"radian phase must be finite, got {r!r}")
+            r %= TWO_PI
             if r >= TWO_PI:  # float modulo can land on the boundary
                 r = 0.0
             object.__setattr__(self, "rad", r)
@@ -120,9 +123,28 @@ class Phase:
         return f"Phase.approx({self.rad!r})"
 
 
-def phase_add(p: Phase, q: Phase) -> Phase:
-    """Sum of two phases mod 2*pi; exact iff both operands are exact."""
-    return p + q
+def parse_phase(text: str) -> Phase:
+    """Parse ``p/d`` ((p/d)*pi, d > 0) or ``f:<float>`` (plain radians).
+
+    Raises ``ValueError`` on anything else, on a denominator that is not
+    positive and on a non-finite radian value.
+    """
+    if text.startswith("f:"):
+        try:
+            rad = float(text[2:])
+        except ValueError:
+            raise ValueError(f"bad float phase {text!r}") from None
+        return Phase.approx(rad)
+    if "/" in text:
+        num_s, den_s = text.split("/", 1)
+        try:
+            num, den = int(num_s), int(den_s)
+        except ValueError:
+            raise ValueError(f"bad rational phase {text!r}") from None
+        if den <= 0:
+            raise ValueError("phase denominator must be positive")
+        return Phase.exact(num, den)
+    raise ValueError(f"bad phase {text!r} (want p/d or f:<float>)")
 
 
 def circular_distance(a: float, b: float) -> float:

@@ -2,9 +2,13 @@
 
 Every rule is a matcher/transform pair.  Matchers return the list of sites
 (vertex-id tuples) where the rule applies, in a deterministic order;
-transforms take a diagram and one site and return the rewritten copy.
-All registered rules are semantics-preserving up to a nonzero scalar;
-``scalar_free`` marks the ones that preserve the matrix on the nose.
+transforms rewrite a diagram in place at one site and return ``None``.
+A transform checks its whole precondition before it mutates anything, so
+a :class:`RuleMatchError` leaves the diagram as it was.  Each
+:class:`RewriteRule` also carries ``apply``, the value-semantic form that
+rewrites a copy and returns it.  All registered rules are
+semantics-preserving up to a nonzero scalar; ``scalar_free`` marks the
+ones that preserve the matrix on the nose.
 
 The registry holds the fifteen named rules.  Rules whose right-to-left
 reading is canonical also carry a reverse matcher/transform; readings that
@@ -15,10 +19,11 @@ registered as functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .diagram import Diagram, VertexKind, opposite
-from .phase import Phase, phase_add
+from .phase import Phase
 from .phase_algebra import EulerTriple, p_rule_angles
 
 Site = tuple[int, ...]
@@ -39,18 +44,33 @@ def _is_plain_spider(d: Diagram, v: int) -> bool:
     return v in d and d.is_spider(v)
 
 
+def _complementary(d: Diagram, u: int, v: int) -> bool:
+    """Two distinct spiders of opposite colours."""
+    return u != v and _is_plain_spider(d, u) and _is_plain_spider(d, v) and d.kind(u) != d.kind(v)
+
+
+def _legs(d: Diagram, v: int, skip: Optional[int] = None) -> list[int]:
+    """The far end of each leg of ``v``, one entry per parallel wire, in
+    neighbour order; self-loops and the wires to ``skip`` are left out."""
+    return [w for w in d.neighbors(v) if w != skip for _ in range(d.edge_mult(v, w))]
+
+
+def _edge_sites(d: Diagram, accept: Callable[[int, int, int], bool]) -> list[Site]:
+    """``(u, v)``, u < v, for each pair of adjacent vertices joined by
+    ``m`` wires with ``accept(u, v, m)``."""
+    return [(u, v) for u, v, m in d.edges() if u != v and accept(u, v, m)]
+
+
 # -- spider fusion (S1) --------------------------------------------------------
 
 
 def find_fusable(d: Diagram) -> list[Site]:
-    out = []
-    for u, v, _ in d.edges():
-        if u != v and d.is_spider(u) and d.is_spider(v) and d.kind(u) == d.kind(v):
-            out.append((u, v))
-    return out
+    return _edge_sites(
+        d, lambda u, v, m: d.is_spider(u) and d.is_spider(v) and d.kind(u) == d.kind(v)
+    )
 
 
-def fuse_spiders(d: Diagram, site: Site) -> Diagram:
+def fuse_spiders(d: Diagram, site: Site) -> None:
     """Merge two adjacent same-colour spiders, adding their phases.
 
     The fusing wire disappears; any further parallel wires between the
@@ -63,99 +83,84 @@ def fuse_spiders(d: Diagram, site: Site) -> Diagram:
     m = d.edge_mult(u, v)
     _require(m >= 1, "spiders are not adjacent")
 
-    out = d.copy()
-    out.remove_edge(u, v, m)
+    d.remove_edge(u, v, m)
     if m > 1:
-        out.add_edge(u, u, m - 1)
-    for w in out.neighbors(v):
-        mult = out.edge_mult(v, w)
-        out.remove_edge(v, w, mult)
-        out.add_edge(u, w, mult)
-    loops = out.self_loops(v)
+        d.add_edge(u, u, m - 1)
+    for w in d.neighbors(v):
+        mult = d.edge_mult(v, w)
+        d.remove_edge(v, w, mult)
+        d.add_edge(u, w, mult)
+    loops = d.self_loops(v)
     if loops:
-        out.add_edge(u, u, loops)
-    out.set_phase(u, phase_add(d.phase(u), d.phase(v)))
-    out.remove_vertex(v)
-    return out
+        d.add_edge(u, u, loops)
+    d.set_phase(u, d.phase(u) + d.phase(v))
+    d.remove_vertex(v)
 
 
-def unfuse_trivial(d: Diagram, site: Site) -> Diagram:
+def unfuse_trivial(d: Diagram, site: Site) -> None:
     """Reverse reading of fusion in its parameter-free form: sprout a
     connected zero-phase spider of the same colour."""
     (v,) = site
     _require(_is_plain_spider(d, v), "site must be a spider")
-    out = d.copy()
-    w = out.add_vertex(out.kind(v), Phase.zero())
-    out.add_edge(v, w)
-    return out
+    w = d.add_vertex(d.kind(v), Phase.zero())
+    d.add_edge(v, w)
 
 
 # -- identity removal (S2/S2') -------------------------------------------------
 
 
+def _is_identity(d: Diagram, v: int) -> bool:
+    """The spider ``v`` has phase zero and two plain legs to distinct vertices."""
+    return (
+        d.phase(v).is_zero
+        and d.degree(v) == 2
+        and d.self_loops(v) == 0
+        and len(d.neighbors(v)) == 2
+    )
+
+
 def find_identities(d: Diagram) -> list[Site]:
-    out = []
-    for v in d.spiders():
-        if (
-            d.phase(v).is_zero
-            and d.degree(v) == 2
-            and d.self_loops(v) == 0
-            and len(d.neighbors(v)) == 2
-        ):
-            out.append((v,))
-    return out
+    return [(v,) for v in d.spiders() if _is_identity(d, v)]
 
 
-def remove_identity(d: Diagram, site: Site) -> Diagram:
+def remove_identity(d: Diagram, site: Site) -> None:
     """Delete a zero-phase degree-2 spider, joining its two neighbours."""
     (v,) = site
-    _require(_is_plain_spider(d, v), "site must be a spider")
-    _require(d.phase(v).is_zero, "phase must be exactly zero")
-    _require(d.degree(v) == 2 and d.self_loops(v) == 0, "spider must have two plain legs")
-    nbrs = d.neighbors(v)
-    _require(len(nbrs) == 2, "both legs must reach distinct vertices")
-    a, b = nbrs
-    out = d.copy()
-    out.remove_vertex(v)
-    out.add_edge(a, b)
-    return out
+    _require(
+        _is_plain_spider(d, v) and _is_identity(d, v),
+        "site must be a zero-phase spider with two legs to distinct vertices",
+    )
+    a, b = d.neighbors(v)
+    d.remove_vertex(v)
+    d.add_edge(a, b)
 
 
-def _insert_identity(d: Diagram, site: Site, kind: str) -> Diagram:
+def insert_identity(d: Diagram, site: Site, kind: str) -> None:
+    """Reverse reading of S2/S2': put a zero-phase spider of ``kind`` on a wire."""
     u, v = site
     _require(d.edge_mult(u, v) >= 1, "no edge at site")
-    out = d.copy()
-    out.remove_edge(u, v)
-    n = out.add_vertex(kind, Phase.zero())
-    out.add_edge(u, n)
-    out.add_edge(n, v)
-    return out
+    d.remove_edge(u, v)
+    n = d.add_vertex(kind, Phase.zero())
+    d.add_edge(u, n)
+    d.add_edge(n, v)
+
+
+insert_identity_z = partial(insert_identity, kind=VertexKind.Z)
+insert_identity_x = partial(insert_identity, kind=VertexKind.X)
 
 
 def find_wires(d: Diagram) -> list[Site]:
     return [(u, v) for u, v, _ in d.edges()]
 
 
-def insert_identity_z(d: Diagram, site: Site) -> Diagram:
-    return _insert_identity(d, site, VertexKind.Z)
-
-
-def insert_identity_x(d: Diagram, site: Site) -> Diagram:
-    return _insert_identity(d, site, VertexKind.X)
-
-
 # -- Hadamard cancellation (HH) ------------------------------------------------
 
 
 def find_hh(d: Diagram) -> list[Site]:
-    out = []
-    for u, v, _ in d.edges():
-        if u != v and d.kind(u) == VertexKind.H and d.kind(v) == VertexKind.H:
-            out.append((u, v))
-    return out
+    return _edge_sites(d, lambda u, v, m: d.kind(u) == d.kind(v) == VertexKind.H)
 
 
-def eliminate_hh(d: Diagram, site: Site) -> Diagram:
+def eliminate_hh(d: Diagram, site: Site) -> None:
     """Two H-boxes in series cancel; their outer endpoints are joined.
 
     A pair joined by both wires is a closed 2-cycle with scalar value 2;
@@ -170,31 +175,24 @@ def eliminate_hh(d: Diagram, site: Site) -> Diagram:
     m = d.edge_mult(h1, h2)
     _require(m >= 1, "H-boxes are not adjacent")
     _require(d.degree(h1) == 2 and d.degree(h2) == 2, "H-boxes must have degree 2")
-    out = d.copy()
+    outer = _legs(d, h1, h2) + _legs(d, h2, h1)
+    d.remove_vertex(h1)
+    d.remove_vertex(h2)
     if m == 2:
-        out.remove_vertex(h1)
-        out.remove_vertex(h2)
-        out.add_vertex(VertexKind.Z, Phase.zero())
-        return out
-    a = next(w for w in out.neighbors(h1) if w != h2)
-    b = next(w for w in out.neighbors(h2) if w != h1)
-    out.remove_vertex(h1)
-    out.remove_vertex(h2)
-    out.add_edge(a, b)
-    return out
+        d.add_vertex(VertexKind.Z, Phase.zero())
+    else:
+        d.add_edge(*outer)
 
 
-def insert_hh(d: Diagram, site: Site) -> Diagram:
+def insert_hh(d: Diagram, site: Site) -> None:
     u, v = site
     _require(d.edge_mult(u, v) >= 1, "no edge at site")
-    out = d.copy()
-    out.remove_edge(u, v)
-    g1 = out.add_vertex(VertexKind.H)
-    g2 = out.add_vertex(VertexKind.H)
-    out.add_edge(u, g1)
-    out.add_edge(g1, g2)
-    out.add_edge(g2, v)
-    return out
+    d.remove_edge(u, v)
+    g1 = d.add_vertex(VertexKind.H)
+    g2 = d.add_vertex(VertexKind.H)
+    d.add_edge(u, g1)
+    d.add_edge(g1, g2)
+    d.add_edge(g2, v)
 
 
 # -- colour change (H2) --------------------------------------------------------
@@ -204,63 +202,44 @@ def find_spiders(d: Diagram) -> list[Site]:
     return [(v,) for v in d.spiders()]
 
 
-def color_change(d: Diagram, site: Site) -> Diagram:
+def color_change(d: Diagram, site: Site) -> None:
     """Flip a spider's colour and put an H-box on every leg."""
     (v,) = site
     _require(_is_plain_spider(d, v), "site must be a spider")
-    out = d.copy()
-    for w in out.neighbors(v):
-        for _ in range(out.edge_mult(v, w)):
-            out.remove_edge(v, w)
-            h = out.add_vertex(VertexKind.H)
-            out.add_edge(v, h)
-            out.add_edge(h, w)
-    for _ in range(out.self_loops(v)):
-        out.remove_edge(v, v)
-        h1 = out.add_vertex(VertexKind.H)
-        h2 = out.add_vertex(VertexKind.H)
-        out.add_edge(v, h1)
-        out.add_edge(h1, h2)
-        out.add_edge(h2, v)
-    out.set_kind(v, opposite(d.kind(v)))
-    return out
+    for w in _legs(d, v):
+        d.remove_edge(v, w)
+        h = d.add_vertex(VertexKind.H)
+        d.add_edge(v, h)
+        d.add_edge(h, w)
+    for _ in range(d.self_loops(v)):
+        d.remove_edge(v, v)
+        h1 = d.add_vertex(VertexKind.H)
+        h2 = d.add_vertex(VertexKind.H)
+        d.add_edge(v, h1)
+        d.add_edge(h1, h2)
+        d.add_edge(h2, v)
+    d.set_kind(v, opposite(d.kind(v)))
 
 
 # -- Hopf law (Hf) -------------------------------------------------------------
 
 
 def find_hopf(d: Diagram) -> list[Site]:
-    out = []
-    for u, v, m in d.edges():
-        if (
-            u != v
-            and m >= 2
-            and d.is_spider(u)
-            and d.is_spider(v)
-            and d.kind(u) != d.kind(v)
-        ):
-            out.append((u, v))
-    return out
+    return _edge_sites(d, lambda u, v, m: m >= 2 and _complementary(d, u, v))
 
 
-def apply_hopf(d: Diagram, site: Site) -> Diagram:
+def apply_hopf(d: Diagram, site: Site) -> None:
     """Delete two of the parallel wires between complementary spiders."""
     u, v = site
-    _require(u != v and _is_plain_spider(d, u) and _is_plain_spider(d, v), "need two spiders")
-    _require(d.kind(u) != d.kind(v), "spiders must have complementary colours")
+    _require(_complementary(d, u, v), "need two spiders of complementary colours")
     _require(d.edge_mult(u, v) >= 2, "need at least two parallel edges")
-    out = d.copy()
-    out.remove_edge(u, v, 2)
-    return out
+    d.remove_edge(u, v, 2)
 
 
-def hopf_reverse(d: Diagram, site: Site) -> Diagram:
+def hopf_reverse(d: Diagram, site: Site) -> None:
     u, v = site
-    _require(u != v and _is_plain_spider(d, u) and _is_plain_spider(d, v), "need two spiders")
-    _require(d.kind(u) != d.kind(v), "spiders must have complementary colours")
-    out = d.copy()
-    out.add_edge(u, v, 2)
-    return out
+    _require(_complementary(d, u, v), "need two spiders of complementary colours")
+    d.add_edge(u, v, 2)
 
 
 def find_complementary_pairs(d: Diagram) -> list[Site]:
@@ -279,44 +258,52 @@ def find_loops(d: Diagram) -> list[Site]:
     return [(v,) for v in d.spiders() if d.self_loops(v) >= 1]
 
 
-def apply_cycle(d: Diagram, site: Site) -> Diagram:
+def apply_cycle(d: Diagram, site: Site) -> None:
     """Remove one plain self-loop from a spider (exact equality)."""
     (v,) = site
     _require(_is_plain_spider(d, v), "site must be a spider")
     _require(d.self_loops(v) >= 1, "spider has no self-loop")
-    out = d.copy()
-    out.remove_edge(v, v)
-    return out
+    d.remove_edge(v, v)
 
 
-def add_loop(d: Diagram, site: Site) -> Diagram:
+def add_loop(d: Diagram, site: Site) -> None:
     (v,) = site
     _require(_is_plain_spider(d, v), "site must be a spider")
-    out = d.copy()
-    out.add_edge(v, v)
+    d.add_edge(v, v)
+
+
+# -- points: copying (B1) and absorbing a pi point (Nv) --------------------------
+
+
+def _find_points(d: Diagram) -> list[Site]:
+    """``(p, v)`` for each degree-1 spider ``p`` on a loop-free spider
+    ``v`` of the other colour."""
+    out = []
+    for p in d.spiders():
+        if d.degree(p) != 1:
+            continue
+        (v,) = d.neighbors(p)
+        if d.is_spider(v) and d.kind(v) == opposite(d.kind(p)) and d.self_loops(v) == 0:
+            out.append((p, v))
     return out
 
 
-# -- copying (B1) and bialgebra (B2 and its variable-arity form) ---------------
+def _copy_point(d: Diagram, p: int, v: int) -> None:
+    """Remove the point ``p`` and the spider ``v``; a copy of ``p`` goes
+    on every other leg of ``v``."""
+    kind, phase = d.kind(p), d.phase(p)
+    legs = _legs(d, v, p)
+    d.remove_vertex(p)
+    d.remove_vertex(v)
+    for w in legs:
+        d.add_edge(d.add_vertex(kind, phase), w)
 
 
 def find_copy(d: Diagram) -> list[Site]:
-    out = []
-    for s in d.spiders():
-        if d.degree(s) != 1 or not d.phase(s).is_zero:
-            continue
-        (v,) = d.neighbors(s)
-        if (
-            d.is_spider(v)
-            and d.kind(v) == opposite(d.kind(s))
-            and d.phase(v).is_zero
-            and d.self_loops(v) == 0
-        ):
-            out.append((s, v))
-    return out
+    return [(s, v) for s, v in _find_points(d) if d.phase(s).is_zero and d.phase(v).is_zero]
 
 
-def apply_copy(d: Diagram, site: Site) -> Diagram:
+def apply_copy(d: Diagram, site: Site) -> None:
     """A zero-phase point of one colour copies through a zero-phase spider
     of the other colour, one copy per remaining leg."""
     s, v = site
@@ -325,95 +312,62 @@ def apply_copy(d: Diagram, site: Site) -> Diagram:
     _require(d.edge_mult(s, v) == 1, "state must be attached to the spider")
     _require(d.kind(v) == opposite(d.kind(s)) and d.phase(v).is_zero, "spider must be a zero spider of the other colour")
     _require(d.self_loops(v) == 0, "spider must have no self-loops")
-    copy_kind = d.kind(s)
-    out = d.copy()
-    legs = [(w, out.edge_mult(v, w)) for w in out.neighbors(v) if w != s]
-    out.remove_vertex(s)
-    out.remove_vertex(v)
-    for w, mult in legs:
-        for _ in range(mult):
-            n = out.add_vertex(copy_kind, Phase.zero())
-            out.add_edge(n, w)
-    return out
+    _copy_point(d, s, v)
 
 
-def _bialgebra(d: Diagram, site: Site, fixed_arity: bool) -> Diagram:
-    zv, xv = site
-    _require(_is_plain_spider(d, zv) and _is_plain_spider(d, xv), "need two spiders")
-    _require(d.kind(zv) != d.kind(xv), "spiders must have complementary colours")
-    _require(d.phase(zv).is_zero and d.phase(xv).is_zero, "both phases must be zero")
-    _require(d.edge_mult(zv, xv) == 1, "spiders must share exactly one wire")
-    _require(d.self_loops(zv) == 0 and d.self_loops(xv) == 0, "no self-loops allowed")
-    if fixed_arity:
-        _require(d.degree(zv) == 3 and d.degree(xv) == 3, "both spiders must have degree 3")
-
-    out = d.copy()
-    z_kind, x_kind = d.kind(zv), d.kind(xv)
-    z_legs = [w for w in out.neighbors(zv) if w != xv for _ in range(out.edge_mult(zv, w))]
-    x_legs = [w for w in out.neighbors(xv) if w != zv for _ in range(out.edge_mult(xv, w))]
-    out.remove_vertex(zv)
-    out.remove_vertex(xv)
-    new_x = []
-    for w in z_legs:
-        n = out.add_vertex(x_kind, Phase.zero())
-        out.add_edge(n, w)
-        new_x.append(n)
-    new_z = []
-    for w in x_legs:
-        n = out.add_vertex(z_kind, Phase.zero())
-        out.add_edge(n, w)
-        new_z.append(n)
-    for a in new_x:
-        for b in new_z:
-            out.add_edge(a, b)
-    return out
-
-
-def find_bialgebra(d: Diagram) -> list[Site]:
-    return [
-        (u, v) if d.kind(u) == VertexKind.Z else (v, u)
-        for u, v in find_bialgebra_general_sites(d)
-        if d.degree(u) == 3 and d.degree(v) == 3
-    ]
-
-
-def find_bialgebra_general_sites(d: Diagram) -> list[Site]:
-    out = []
-    for u, v, m in d.edges():
-        if (
-            u != v
-            and m == 1
-            and d.is_spider(u)
-            and d.is_spider(v)
-            and d.kind(u) != d.kind(v)
-            and d.phase(u).is_zero
-            and d.phase(v).is_zero
-            and d.self_loops(u) == 0
-            and d.self_loops(v) == 0
-        ):
-            out.append((u, v))
-    return out
+# -- bialgebra (B2 and its variable-arity form) --------------------------------
 
 
 def find_bialgebra_general(d: Diagram) -> list[Site]:
-    return [
-        (u, v) if d.kind(u) == VertexKind.Z else (v, u)
-        for u, v in find_bialgebra_general_sites(d)
-    ]
+    """``(z, x)`` for each zero-phase, loop-free complementary pair joined
+    by exactly one wire, Z spider first."""
+    sites = _edge_sites(
+        d,
+        lambda u, v, m: m == 1
+        and _complementary(d, u, v)
+        and all(d.phase(w).is_zero and d.self_loops(w) == 0 for w in (u, v)),
+    )
+    return [(u, v) if d.kind(u) == VertexKind.Z else (v, u) for u, v in sites]
 
 
-def apply_bialgebra(d: Diagram, site: Site) -> Diagram:
-    """The degree-3 commutation pattern between complementary zero spiders:
-    the pair is replaced by a complete bipartite square of fresh spiders
-    with the colours exchanged side for side."""
-    return _bialgebra(d, site, fixed_arity=True)
+def find_bialgebra(d: Diagram) -> list[Site]:
+    return [(z, x) for z, x in find_bialgebra_general(d) if d.degree(z) == 3 and d.degree(x) == 3]
 
 
-def apply_bialgebra_general(d: Diagram, site: Site) -> Diagram:
-    """Variable-arity form of the same commutation law ("the dots"):
-    a zero spider of each colour joined by one wire unfolds into the
-    complete bipartite graph over fresh opposite-colour spiders."""
-    return _bialgebra(d, site, fixed_arity=False)
+def apply_bialgebra_general(d: Diagram, site: Site) -> None:
+    """Variable-arity commutation law ("the dots"): a zero spider of each
+    colour joined by one wire unfolds into the complete bipartite graph
+    over fresh opposite-colour spiders."""
+    zv, xv = site
+    _require(_complementary(d, zv, xv), "need two spiders of complementary colours")
+    _require(d.phase(zv).is_zero and d.phase(xv).is_zero, "both phases must be zero")
+    _require(d.edge_mult(zv, xv) == 1, "spiders must share exactly one wire")
+    _require(d.self_loops(zv) == 0 and d.self_loops(xv) == 0, "no self-loops allowed")
+    z_kind, x_kind = d.kind(zv), d.kind(xv)
+    z_legs, x_legs = _legs(d, zv, xv), _legs(d, xv, zv)
+    d.remove_vertex(zv)
+    d.remove_vertex(xv)
+    new_x = []
+    for w in z_legs:
+        n = d.add_vertex(x_kind, Phase.zero())
+        d.add_edge(n, w)
+        new_x.append(n)
+    new_z = []
+    for w in x_legs:
+        n = d.add_vertex(z_kind, Phase.zero())
+        d.add_edge(n, w)
+        new_z.append(n)
+    for a in new_x:
+        for b in new_z:
+            d.add_edge(a, b)
+
+
+def apply_bialgebra(d: Diagram, site: Site) -> None:
+    """The degree-3 instance of the same law: the pair is replaced by a
+    complete bipartite square of fresh spiders with the colours exchanged
+    side for side."""
+    _require(all(v in d and d.degree(v) == 3 for v in site), "both spiders must have degree 3")
+    apply_bialgebra_general(d, site)
 
 
 # -- pi commutation (N) and its point form (Nv) ---------------------------------
@@ -436,17 +390,10 @@ def find_pi(d: Diagram) -> list[Site]:
 
 
 def find_pi_state(d: Diagram) -> list[Site]:
-    out = []
-    for p in d.spiders():
-        if not d.phase(p).is_pi or d.degree(p) != 1:
-            continue
-        (v,) = d.neighbors(p)
-        if d.is_spider(v) and d.kind(v) == opposite(d.kind(p)) and d.self_loops(v) == 0:
-            out.append((p, v))
-    return out
+    return [(p, v) for p, v in _find_points(d) if d.phase(p).is_pi]
 
 
-def apply_pi(d: Diagram, site: Site) -> Diagram:
+def apply_pi(d: Diagram, site: Site) -> None:
     """Push a pi phase of one colour through a spider of the other.
 
     Degree-2 pi spider: it moves to every other leg of the spider and the
@@ -461,74 +408,57 @@ def apply_pi(d: Diagram, site: Site) -> Diagram:
     _require(d.self_loops(v) == 0 and d.self_loops(p) == 0, "no self-loops allowed")
     deg = d.degree(p)
     _require(deg in (1, 2), "pi spider must have degree 1 or 2")
+    if deg == 1:
+        _copy_point(d, p, v)
+        return
+
     pi_kind = d.kind(p)
-    out = d.copy()
-
-    if deg == 2:
-        c = next(w for w in out.neighbors(p) if w != v)
-        legs = [(w, out.edge_mult(v, w)) for w in out.neighbors(v) if w != p]
-        out.remove_vertex(p)
-        out.add_edge(c, v)
-        for w, mult in legs:
-            for _ in range(mult):
-                out.remove_edge(v, w)
-                n = out.add_vertex(pi_kind, Phase.pi())
-                out.add_edge(v, n)
-                out.add_edge(n, w)
-        out.set_phase(v, -d.phase(v))
-        return out
-
-    legs = [(w, out.edge_mult(v, w)) for w in out.neighbors(v) if w != p]
-    out.remove_vertex(p)
-    out.remove_vertex(v)
-    for w, mult in legs:
-        for _ in range(mult):
-            n = out.add_vertex(pi_kind, Phase.pi())
-            out.add_edge(n, w)
-    return out
+    (c,) = _legs(d, p, v)
+    legs = _legs(d, v, p)
+    d.remove_vertex(p)
+    d.add_edge(c, v)
+    for w in legs:
+        d.remove_edge(v, w)
+        n = d.add_vertex(pi_kind, Phase.pi())
+        d.add_edge(v, n)
+        d.add_edge(n, w)
+    d.set_phase(v, -d.phase(v))
 
 
 # -- chains: Euler form of H (H1), colour-swap (P), quarter-turn chains (Hex) ---
 
 
+def _is_chain(d: Diagram, site: Site) -> bool:
+    """Three distinct spiders with two plain legs each, alternating in
+    colour and linked by single wires."""
+    v1, v2, v3 = site
+    return (
+        len({v1, v2, v3}) == 3
+        and all(_is_plain_spider(d, v) and d.degree(v) == 2 and d.self_loops(v) == 0 for v in site)
+        and d.kind(v1) == d.kind(v3) == opposite(d.kind(v2))
+        and d.edge_mult(v1, v2) == 1
+        and d.edge_mult(v2, v3) == 1
+    )
+
+
 def _find_chains(d: Diagram, accept) -> list[Site]:
     out = []
     for mid in d.spiders():
-        if d.degree(mid) != 2 or d.self_loops(mid) != 0:
-            continue
         nbrs = d.neighbors(mid)
-        if len(nbrs) != 2:
-            continue
-        a, b = nbrs
-        ok = True
-        for end in (a, b):
-            if (
-                not d.is_spider(end)
-                or d.kind(end) != opposite(d.kind(mid))
-                or d.degree(end) != 2
-                or d.self_loops(end) != 0
-                or d.edge_mult(end, mid) != 1
-            ):
-                ok = False
-        if ok and accept(d.phase(a), d.phase(mid), d.phase(b)):
-            out.append((a, mid, b))
+        if len(nbrs) == 2:
+            site = (nbrs[0], mid, nbrs[1])
+            if _is_chain(d, site) and accept(*(d.phase(v) for v in site)):
+                out.append(site)
     return out
 
 
 def _check_chain(d: Diagram, site: Site) -> None:
-    v1, v2, v3 = site
-    _require(len({v1, v2, v3}) == 3, "chain vertices must be distinct")
-    for v in site:
-        _require(_is_plain_spider(d, v), "chain vertices must be spiders")
-        _require(d.degree(v) == 2 and d.self_loops(v) == 0, "chain vertices must have two plain legs")
-    _require(
-        d.kind(v1) == d.kind(v3) == opposite(d.kind(v2)),
-        "chain colours must alternate",
-    )
-    _require(
-        d.edge_mult(v1, v2) == 1 and d.edge_mult(v2, v3) == 1,
-        "chain links must be single wires",
-    )
+    _require(_is_chain(d, site), "site must be a chain of three alternating two-legged spiders")
+
+
+def _quarter_turns(phases, nums=(1, 3)) -> bool:
+    """All phases equal one exact n*pi/2 with n in ``nums``."""
+    return any(all(p.equals_exact(n, 2) for p in phases) for n in nums)
 
 
 def find_euler_h(d: Diagram) -> list[Site]:
@@ -539,85 +469,69 @@ def find_euler_h(d: Diagram) -> list[Site]:
     return out
 
 
-def apply_euler_h(d: Diagram, site: Site) -> Diagram:
+def apply_euler_h(d: Diagram, site: Site) -> None:
     """Expand an H-box into the quarter-turn chain Z(pi/2) X(pi/2) Z(pi/2)."""
     (h,) = site
     _require(h in d and d.kind(h) == VertexKind.H, "site must be an H-box")
     nbrs = d.neighbors(h)
     _require(len(nbrs) == 2, "H-box legs must reach distinct vertices")
     a, b = nbrs
-    out = d.copy()
-    out.remove_vertex(h)
-    s1 = out.add_vertex(VertexKind.Z, PI_HALF)
-    s2 = out.add_vertex(VertexKind.X, PI_HALF)
-    s3 = out.add_vertex(VertexKind.Z, PI_HALF)
-    out.add_edge(a, s1)
-    out.add_edge(s1, s2)
-    out.add_edge(s2, s3)
-    out.add_edge(s3, b)
-    return out
+    d.remove_vertex(h)
+    s1 = d.add_vertex(VertexKind.Z, PI_HALF)
+    s2 = d.add_vertex(VertexKind.X, PI_HALF)
+    s3 = d.add_vertex(VertexKind.Z, PI_HALF)
+    d.add_edge(a, s1)
+    d.add_edge(s1, s2)
+    d.add_edge(s2, s3)
+    d.add_edge(s3, b)
 
 
 def find_h_chain(d: Diagram) -> list[Site]:
-    def accept(p1: Phase, p2: Phase, p3: Phase) -> bool:
-        return all(p.equals_exact(1, 2) for p in (p1, p2, p3))
-
-    return [s for s in _find_chains(d, accept) if d.kind(s[0]) == VertexKind.Z]
+    chains = _find_chains(d, lambda *ps: _quarter_turns(ps, (1,)))
+    return [s for s in chains if d.kind(s[0]) == VertexKind.Z]
 
 
-def apply_h_from_chain(d: Diagram, site: Site) -> Diagram:
-    """Contract a Z(pi/2) X(pi/2) Z(pi/2) chain back into one H-box."""
+def apply_h_from_chain(d: Diagram, site: Site) -> None:
+    """Contract a Z(pi/2) X(pi/2) Z(pi/2) chain back into one H-box; a
+    chain closed into a triangle becomes an H-box on a self-loop."""
     _check_chain(d, site)
     v1, v2, v3 = site
-    for v in site:
-        _require(d.phase(v).equals_exact(1, 2), "chain phases must all be pi/2")
+    _require(_quarter_turns([d.phase(v) for v in site], (1,)), "chain phases must all be pi/2")
     _require(d.kind(v1) == VertexKind.Z, "chain must be Z-X-Z")
-    out = d.copy()
-    outer1 = [w for w in out.neighbors(v1) if w != v2]
-    outer3 = [w for w in out.neighbors(v3) if w != v2]
-    closed = not outer1  # triangle: the chain closes on itself
-    out.remove_vertex(v1)
-    out.remove_vertex(v2)
-    out.remove_vertex(v3)
-    h = out.add_vertex(VertexKind.H)
-    if closed:
-        out.add_edge(h, h)
+    (a,) = _legs(d, v1, v2)
+    (b,) = _legs(d, v3, v2)
+    for v in site:
+        d.remove_vertex(v)
+    h = d.add_vertex(VertexKind.H)
+    if a == v3:
+        d.add_edge(h, h)
     else:
-        out.add_edge(outer1[0], h)
-        out.add_edge(h, outer3[0])
-    return out
+        d.add_edge(a, h)
+        d.add_edge(h, b)
 
 
 def find_hexagon(d: Diagram) -> list[Site]:
-    def accept(p1: Phase, p2: Phase, p3: Phase) -> bool:
-        return (
-            all(p.equals_exact(1, 2) for p in (p1, p2, p3))
-            or all(p.equals_exact(3, 2) for p in (p1, p2, p3))
-        )
-
-    return _find_chains(d, accept)
+    return _find_chains(d, lambda *ps: _quarter_turns(ps))
 
 
-def apply_hexagon(d: Diagram, site: Site) -> Diagram:
+def apply_hexagon(d: Diagram, site: Site) -> None:
     """Swap the colours of a quarter-turn chain: the two colour readings of
     Z(t) X(t) Z(t), t = +-pi/2, denote the same map (both are Hadamards up
     to phase)."""
     _check_chain(d, site)
-    same = all(
-        d.phase(v).equals_exact(1, 2) for v in site
-    ) or all(d.phase(v).equals_exact(3, 2) for v in site)
-    _require(same, "chain phases must all be pi/2 or all be 3*pi/2")
-    out = d.copy()
+    _require(
+        _quarter_turns([d.phase(v) for v in site]),
+        "chain phases must all be pi/2 or all be 3*pi/2",
+    )
     for v in site:
-        out.set_kind(v, opposite(d.kind(v)))
-    return out
+        d.set_kind(v, opposite(d.kind(v)))
 
 
 def find_p_chains(d: Diagram) -> list[Site]:
     return _find_chains(d, lambda *_: True)
 
 
-def apply_p(d: Diagram, site: Site) -> Diagram:
+def apply_p(d: Diagram, site: Site) -> None:
     """Colour-swap a three-spider phase chain, recomputing its angles.
 
     A chain Z(a1) X(b1) Z(g1) of degree-2 spiders becomes
@@ -629,28 +543,49 @@ def apply_p(d: Diagram, site: Site) -> Diagram:
     v1, v2, v3 = site
     triple = EulerTriple(d.phase(v1), d.phase(v2), d.phase(v3))
     res = p_rule_angles(triple)
-    out = d.copy()
     for v in site:
-        out.set_kind(v, opposite(d.kind(v)))
-    out.set_phase(v1, res.alpha)
-    out.set_phase(v2, res.beta)
-    out.set_phase(v3, res.gamma)
-    return out
+        d.set_kind(v, opposite(d.kind(v)))
+    d.set_phase(v1, res.alpha)
+    d.set_phase(v2, res.beta)
+    d.set_phase(v3, res.gamma)
 
 
 # -- registry -------------------------------------------------------------------
 
 
+def _copying(rewrite: Callable[[Diagram, Site], None]) -> Callable[[Diagram, Site], Diagram]:
+    """The value-semantic form of an in-place transform."""
+
+    def apply(d: Diagram, site: Site) -> Diagram:
+        out = d.copy()
+        rewrite(out, site)
+        return out
+
+    return apply
+
+
 @dataclass(frozen=True)
 class RewriteRule:
-    """A named rule: forward matcher/transform, optional canonical reverse."""
+    """A named rule: forward matcher/transform, optional canonical reverse.
+
+    ``rewrite``/``rewrite_reverse`` transform a diagram in place;
+    ``apply``/``apply_reverse`` default to their copying forms.
+    """
 
     name: str
     find: Callable[[Diagram], list[Site]]
-    apply: Callable[[Diagram, Site], Diagram]
+    rewrite: Callable[[Diagram, Site], None]
     scalar_free: bool
     find_reverse: Optional[Callable[[Diagram], list[Site]]] = None
+    rewrite_reverse: Optional[Callable[[Diagram, Site], None]] = None
+    apply: Optional[Callable[[Diagram, Site], Diagram]] = None
     apply_reverse: Optional[Callable[[Diagram, Site], Diagram]] = None
+
+    def __post_init__(self) -> None:
+        if self.apply is None:
+            object.__setattr__(self, "apply", _copying(self.rewrite))
+        if self.apply_reverse is None and self.rewrite_reverse is not None:
+            object.__setattr__(self, "apply_reverse", _copying(self.rewrite_reverse))
 
 
 RULES: dict[str, RewriteRule] = {
@@ -687,14 +622,10 @@ class StrategyConfig:
 
     step_budget: int = 10_000
     enabled_rules: frozenset = frozenset(CORE_SEQUENCE)
-    tolerance: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.step_budget <= 0:
             raise ValueError("step budget must be positive")
-        if not (0.0 < self.tolerance <= 1e-3):
-            raise ValueError("tolerance must be in (0, 1e-3]")
         unknown = set(self.enabled_rules) - set(RULES)
         if unknown:
             raise ValueError(f"unknown rules: {sorted(unknown)}")
@@ -725,11 +656,13 @@ class RewriteTrace:
     _digests: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def _states(self) -> Iterator[Diagram]:
-        """The initial diagram, then the diagram after each step."""
+        """The initial diagram, then the diagram after each step.  One
+        working copy is rewritten in place, so each state must be used
+        before the next one is asked for."""
         g = self.initial.copy()
         yield g
         for s in self.steps:
-            g = RULES[s.rule].apply(g, s.site)
+            RULES[s.rule].rewrite(g, s.site)
             yield g
 
     def digests(self) -> list[str]:
@@ -772,6 +705,9 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
     cycle).  The step budget bounds the total number of attempted
     applications; exhausting it returns the best diagram so far with the
     trace marked truncated.
+
+    The core pass rewrites one working diagram in place; only each
+    speculative move works on a copy, which a rejected move discards.
     """
     cfg = config if config is not None else StrategyConfig()
     initial = d.copy()
@@ -789,21 +725,21 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
                 return RULES[name], sites[0]
         return None
 
-    def run_core(g: Diagram, acc: list) -> Diagram:
+    def run_core(g: Diagram, acc: list) -> None:
         nonlocal budget, truncated
         while True:
             m = first_core_match(g)
             if m is None:
-                return g
+                return
             if budget <= 0:
                 truncated = True
-                return g
+                return
             rule, site = m
-            g = rule.apply(g, site)
+            rule.rewrite(g, site)
             acc.append(RewriteStep(rule.name, site, rule.scalar_free))
             budget -= 1
 
-    cur = run_core(cur, steps)
+    run_core(cur, steps)
 
     optional = [n for n in OPTIONAL_SEQUENCE if n in cfg.enabled_rules]
     while optional and not truncated:
@@ -818,7 +754,7 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
                 budget -= 1
                 trial = rule.apply(cur, site)
                 tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
-                trial = run_core(trial, tsteps)
+                run_core(trial, tsteps)
                 if diagram_cost(trial) < base:
                     cur = trial
                     steps.extend(tsteps)

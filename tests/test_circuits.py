@@ -15,7 +15,6 @@ from zxq.circuits import (
     export_fixtures,
     fixture_asset_names,
     format_circuit,
-    is_clifford_t,
     parse_circuit,
     selinger_bian_fixtures,
 )
@@ -56,6 +55,10 @@ def test_parse_comments_and_blank_lines():
         ("h 0\n", "qubits"),
         ("qubits 1\nrz 0\n", "argument"),
         ("qubits 1\nrz 0 x\n", "bad"),
+        ("qubits 1\nrz 0 1/0\n", "denominator must be positive"),
+        ("qubits 1\nrz 0 1/-2\n", "denominator must be positive"),
+        ("qubits 1\nrz 0 f:inf\n", "finite"),
+        ("qubits 1\nrx 0 f:nan\n", "finite"),
         ("qubits 0\n", "positive"),
     ],
 )
@@ -148,10 +151,10 @@ def test_gate_validation():
 
 
 def test_is_clifford_t():
-    assert is_clifford_t(parse_circuit("qubits 2\nt 0\ncnot 0 1\n"))
-    assert not is_clifford_t(parse_circuit("qubits 1\nrz 0 f:0.3\n"))
-    assert not is_clifford_t(parse_circuit("qubits 1\nrz 0 1/3\n"))
-    assert is_clifford_t(parse_circuit("qubits 1\nrz 0 3/2\n"))
+    assert parse_circuit("qubits 2\nt 0\ncnot 0 1\n").is_clifford_t
+    assert not parse_circuit("qubits 1\nrz 0 f:0.3\n").is_clifford_t
+    assert not parse_circuit("qubits 1\nrz 0 1/3\n").is_clifford_t
+    assert parse_circuit("qubits 1\nrz 0 3/2\n").is_clifford_t
 
 
 # -- the relation corpus ---------------------------------------------------------

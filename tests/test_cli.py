@@ -99,6 +99,24 @@ def test_euler_accepts_floats(capsys):
     assert len(capsys.readouterr().out.split()) == 3
 
 
+@pytest.mark.parametrize(
+    "alpha, match",
+    [("1/0", "positive"), ("1/-2", "positive"), ("f:nan", "finite"), ("inf", "finite")],
+)
+def test_euler_rejects_bad_phases(alpha, match, capsys):
+    assert cli_main(["euler", alpha, "0", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and match in captured.err
+
+
+def test_check_rejects_non_finite_phase(files, capsys):
+    inf = files / "inf.zxc"
+    inf.write_text("qubits 1\nrz 0 f:inf\n")
+    assert cli_main(["check", str(inf), str(inf)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_verify_rules_exit_zero(capsys):
     assert cli_main(["verify", "rules", "--samples", "5", "--seed", "1"]) == 0
     assert "result: PASS" in capsys.readouterr().out

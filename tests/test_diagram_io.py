@@ -81,6 +81,8 @@ def test_malformed_json_reports_position():
         (lambda doc: doc["edges"].append(["a", "zz"]), "unknown endpoint"),
         (lambda doc: doc["nodes"].append({"id": "a", "kind": "in"}), "duplicate id"),
         (lambda doc: doc["nodes"][2].__setitem__("phase", {"num": 1}), "phase needs keys"),
+        (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": float("nan")}), "finite"),
+        (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": float("inf")}), "finite"),
         (lambda doc: doc.pop("edges"), "missing or non-list"),
         (lambda doc: doc["inputs"].append("s"), "not of kind"),
     ],

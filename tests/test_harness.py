@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from zxq.harness import (
@@ -8,7 +9,7 @@ from zxq.harness import (
     verify_rules,
 )
 from zxq.phase import Phase
-from zxq.rewrite import RULES, RewriteRule, apply_pi, find_pi
+from zxq.rewrite import RULES
 
 
 def test_rules_campaign_passes():
@@ -35,14 +36,14 @@ def test_corrupted_rule_is_named_with_witness():
     def broken_pi(d, site):
         # forgets to negate the spider phase
         p, v = site
-        out = apply_pi(d, site)
+        out = RULES["N"].apply(d, site)
         for w in out.spiders():
             if w == v and w in out:
                 out.set_phase(w, d.phase(v))
         return out
 
     rules = dict(RULES)
-    rules["N"] = RewriteRule("N", find_pi, broken_pi, False)
+    rules["N"] = dataclasses.replace(RULES["N"], apply=broken_pi)
     rep = verify_rules(seed=3, samples=30, rules=rules)
     assert not rep.passed
     assert any(f.case == "rule N" for f in rep.failures)

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zxq.phase import TWO_PI, Phase, circular_distance, phase_add
+from zxq.phase import TWO_PI, Phase, circular_distance, parse_phase
 
 from .conftest import approx_phases, phases
 
 
 def test_exact_addition():
-    assert phase_add(Phase.exact(1, 4), Phase.exact(1, 4)) == Phase.exact(1, 2)
+    assert Phase.exact(1, 4) + Phase.exact(1, 4) == Phase.exact(1, 2)
 
 
 def test_exact_addition_wraps():
-    assert phase_add(Phase.exact(7, 4), Phase.exact(1, 2)) == Phase.exact(1, 4)
+    assert Phase.exact(7, 4) + Phase.exact(1, 2) == Phase.exact(1, 4)
 
 
 def test_mixed_addition_promotes():
-    p = phase_add(Phase.exact(1, 4), Phase.approx(0.1))
+    p = Phase.exact(1, 4) + Phase.approx(0.1)
     assert not p.is_exact
     assert p.radians == pytest.approx(math.pi / 4 + 0.1, abs=1e-12)
 
@@ -75,6 +75,28 @@ def test_exactly_one_representation():
         Phase(frac=Fraction(1, 2), rad=0.3)
     with pytest.raises(ValueError):
         Phase()
+
+
+@pytest.mark.parametrize("rad", [math.nan, math.inf, -math.inf])
+def test_radian_phase_must_be_finite(rad):
+    with pytest.raises(ValueError, match="finite"):
+        Phase.approx(rad)
+
+
+def test_parse_phase_grammar():
+    assert parse_phase("3/4") == Phase.exact(3, 4)
+    assert parse_phase("-1/4") == Phase.exact(7, 4)
+    assert parse_phase("f:0.5") == Phase.approx(0.5)
+    for text, match in [
+        ("1/0", "positive"),
+        ("1/-2", "positive"),
+        ("1/x", "bad rational"),
+        ("f:x", "bad float"),
+        ("f:nan", "finite"),
+        ("0.5", "want p/d"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            parse_phase(text)
 
 
 def test_circular_distance_wraps():

@@ -13,19 +13,7 @@ from zxq.rewrite import (
     RULES,
     RuleMatchError,
     StrategyConfig,
-    apply_bialgebra,
-    apply_copy,
-    apply_cycle,
-    apply_hopf,
-    apply_p,
-    apply_pi,
-    color_change,
     diagram_cost,
-    eliminate_hh,
-    find_fusable,
-    find_hh,
-    fuse_spiders,
-    remove_identity,
     simplify,
 )
 from zxq.semantics import equal_up_to_scalar, evaluate
@@ -59,24 +47,24 @@ def test_registry_names():
 
 def test_fuse_adds_phases():
     d, (a, b) = wire_chain((VertexKind.Z, Phase.exact(1, 4)), (VertexKind.Z, Phase.exact(1, 4)))
-    out = fuse_spiders(d, (a, b))
+    out = RULES["S1"].apply(d, (a, b))
     want, _ = wire_chain((VertexKind.Z, Phase.exact(1, 2)))
     assert out.iso_equal(want)
 
 
 def test_fuse_absorbs_zero():
     d, (a, b) = wire_chain((VertexKind.Z, Phase.approx(0.7)), (VertexKind.Z, Phase.zero()))
-    out = fuse_spiders(d, (a, b))
+    out = RULES["S1"].apply(d, (a, b))
     want, _ = wire_chain((VertexKind.Z, Phase.approx(0.7)))
     assert out.iso_equal(want)
 
 
 def test_fuse_x_spiders_cancels_to_identity():
     d, (a, b) = wire_chain((VertexKind.X, Phase.exact(1, 4)), (VertexKind.X, Phase.exact(7, 4)))
-    out = fuse_spiders(d, (a, b))
+    out = RULES["S1"].apply(d, (a, b))
     (v,) = out.spiders()
     assert out.phase(v).is_zero
-    out2 = remove_identity(out, (v,))
+    out2 = RULES["S2"].apply(out, (v,))
     assert np.allclose(evaluate(out2), np.eye(2))
 
 
@@ -85,7 +73,7 @@ def test_fuse_parallel_edges_become_loops():
     u = d.add_vertex(VertexKind.Z, Phase.zero())
     v = d.add_vertex(VertexKind.Z, Phase.zero())
     d.add_edge(u, v, 3)
-    out = fuse_spiders(d, (u, v))
+    out = RULES["S1"].apply(d, (u, v))
     (w,) = out.spiders()
     assert out.self_loops(w) == 2
     assert_semantics_preserved(d, out)
@@ -97,15 +85,15 @@ def test_fuse_rejects_colour_mismatch():
     v = d.add_vertex(VertexKind.X, Phase.zero())
     d.add_edge(u, v)
     with pytest.raises(RuleMatchError):
-        fuse_spiders(d, (u, v))
+        RULES["S1"].apply(d, (u, v))
     with pytest.raises(RuleMatchError):
-        fuse_spiders(d, (u, u))
+        RULES["S1"].apply(d, (u, u))
 
 
 @pytest.mark.parametrize("kind", [VertexKind.Z, VertexKind.X])
 def test_remove_identity_plain_wire(kind):
     d, (v,) = wire_chain((kind, Phase.zero()))
-    out = remove_identity(d, (v,))
+    out = RULES["S2"].apply(d, (v,))
     assert out.iso_equal(identity_diagram(1))
 
 
@@ -113,7 +101,7 @@ def test_remove_identity_in_chain():
     d, ids = wire_chain(
         (VertexKind.Z, Phase.exact(1, 4)), (VertexKind.Z, Phase.zero()), (VertexKind.X, Phase.pi())
     )
-    out = remove_identity(d, (ids[1],))
+    out = RULES["S2"].apply(d, (ids[1],))
     want, _ = wire_chain((VertexKind.Z, Phase.exact(1, 4)), (VertexKind.X, Phase.pi()))
     assert out.iso_equal(want)
 
@@ -121,14 +109,14 @@ def test_remove_identity_in_chain():
 def test_remove_identity_preconditions():
     d, (v,) = wire_chain((VertexKind.Z, Phase.exact(1, 4)))
     with pytest.raises(RuleMatchError):
-        remove_identity(d, (v,))
+        RULES["S2"].apply(d, (v,))
     both = Diagram()
     w = both.add_vertex(VertexKind.Z, Phase.zero())
     u = both.add_vertex(VertexKind.Z, Phase.exact(1, 4))
     both.add_edge(w, u, 2)
     both.add_edge(u, both.add_output())
     with pytest.raises(RuleMatchError):  # both legs to the same vertex route elsewhere
-        remove_identity(both, (w,))
+        RULES["S2"].apply(both, (w,))
 
 
 def test_hh_cancels_to_wire():
@@ -139,7 +127,7 @@ def test_hh_cancels_to_wire():
     d.add_edge(i, h1)
     d.add_edge(h1, h2)
     d.add_edge(h2, o)
-    out = eliminate_hh(d, (h1, h2))
+    out = RULES["HH"].apply(d, (h1, h2))
     assert out.iso_equal(identity_diagram(1))
 
 
@@ -153,9 +141,9 @@ def test_hh_between_spiders_leaves_direct_edge():
     d.add_edge(h2, b)
     d.add_edge(d.add_input(), a)
     d.add_edge(b, d.add_output())
-    out = eliminate_hh(d, (h1, h2))
+    out = RULES["HH"].apply(d, (h1, h2))
     assert out.edge_mult(a, b) == 1
-    assert find_fusable(out)
+    assert RULES["S1"].find(out)
     assert_semantics_preserved(d, out)
 
 
@@ -164,13 +152,13 @@ def test_hh_closed_pair_is_scalar_two():
     h1, h2 = d.add_vertex(VertexKind.H), d.add_vertex(VertexKind.H)
     d.add_edge(h1, h2, 2)
     assert np.allclose(evaluate(d), [[2.0]])
-    out = eliminate_hh(d, (h1, h2))
+    out = RULES["HH"].apply(d, (h1, h2))
     assert np.allclose(evaluate(out), [[2.0]])
 
 
 def test_color_change_structure():
     d, (v,) = wire_chain((VertexKind.X, Phase.approx(0.9)))
-    out = color_change(d, (v,))
+    out = RULES["H2"].apply(d, (v,))
     (w,) = out.spiders()
     assert out.kind(w) == VertexKind.Z
     assert out.hbox_count == 2
@@ -179,10 +167,10 @@ def test_color_change_structure():
 
 def test_color_change_twice_round_trips():
     d, (v,) = wire_chain((VertexKind.X, Phase.exact(3, 4)))
-    once = color_change(d, (v,))
-    twice = color_change(once, (v,))
-    while find_hh(twice):
-        twice = eliminate_hh(twice, find_hh(twice)[0])
+    once = RULES["H2"].apply(d, (v,))
+    twice = RULES["H2"].apply(once, (v,))
+    while RULES["HH"].find(twice):
+        twice = RULES["HH"].apply(twice, RULES["HH"].find(twice)[0])
     assert twice.iso_equal(d)
 
 
@@ -193,7 +181,7 @@ def test_hopf_disconnects():
     d.add_edge(z, x, 2)
     d.add_edge(d.add_input(), z)
     d.add_edge(x, d.add_output())
-    out = apply_hopf(d, (z, x))
+    out = RULES["Hf"].apply(d, (z, x))
     assert out.edge_mult(z, x) == 0
     assert_semantics_preserved(d, out)
 
@@ -204,13 +192,13 @@ def test_hopf_needs_two_edges():
     x = d.add_vertex(VertexKind.X, Phase.zero())
     d.add_edge(z, x)
     with pytest.raises(RuleMatchError):
-        apply_hopf(d, (z, x))
+        RULES["Hf"].apply(d, (z, x))
 
 
 def test_cycle_removes_loop():
     d, (v,) = wire_chain((VertexKind.Z, Phase.exact(1, 4)))
     d.add_edge(v, v)
-    out = apply_cycle(d, (v,))
+    out = RULES["Cy"].apply(d, (v,))
     assert out.self_loops(v) == 0
     # loop removal is exact, not just up-to-scalar
     assert np.allclose(evaluate(out), evaluate(d))
@@ -224,7 +212,7 @@ def test_copy_through_spider():
     o1, o2 = d.add_output(), d.add_output()
     d.add_edge(v, o1)
     d.add_edge(v, o2)
-    out = apply_copy(d, (s, v))
+    out = RULES["B1"].apply(d, (s, v))
     assert out.spider_count == 2
     assert all(out.kind(w) == VertexKind.X for w in out.spiders())
     assert_semantics_preserved(d, out)
@@ -239,7 +227,7 @@ def test_bialgebra_square():
         d.add_edge(b, x)
     for b in (d.add_output(), d.add_output()):
         d.add_edge(z, b)
-    out = apply_bialgebra(d, (z, x))
+    out = RULES["B2"].apply(d, (z, x))
     assert out.spider_count == 4
     assert out.n_edges == 8
     assert_semantics_preserved(d, out)
@@ -247,7 +235,7 @@ def test_bialgebra_square():
 
 def test_pi_commutation_negates_phase():
     d, ids = wire_chain((VertexKind.X, Phase.pi()), (VertexKind.Z, Phase.exact(1, 4)))
-    out = apply_pi(d, (ids[0], ids[1]))
+    out = RULES["N"].apply(d, (ids[0], ids[1]))
     phases = sorted(
         (out.kind(v), out.phase(v)) for v in out.spiders()
     )
@@ -264,7 +252,7 @@ def test_pi_state_absorbs():
     o1, o2 = d.add_output(), d.add_output()
     d.add_edge(v, o1)
     d.add_edge(v, o2)
-    out = apply_pi(d, (p, v))
+    out = RULES["Nv"].apply(d, (p, v))
     assert out.spider_count == 2
     assert all(out.phase(w).is_pi and out.kind(w) == VertexKind.X for w in out.spiders())
     assert_semantics_preserved(d, out)
@@ -305,7 +293,7 @@ def test_p_rule_quarter_chain():
         (VertexKind.X, Phase.exact(1, 2)),
         (VertexKind.Z, Phase.exact(1, 2)),
     )
-    out = apply_p(d, tuple(ids))
+    out = RULES["P"].apply(d, tuple(ids))
     assert [out.kind(v) for v in ids] == [VertexKind.X, VertexKind.Z, VertexKind.X]
     for v in ids:
         assert out.phase(v).close_to(Phase.exact(1, 2), 1e-9)
@@ -318,7 +306,7 @@ def test_p_rule_equal_outer_angles():
         (VertexKind.X, Phase.exact(1, 2)),
         (VertexKind.Z, Phase.exact(1, 4)),
     )
-    out = apply_p(d, tuple(ids))
+    out = RULES["P"].apply(d, tuple(ids))
     assert out.phase(ids[0]).close_to(out.phase(ids[2]), 1e-9)
     assert_semantics_preserved(d, out)
 
@@ -329,7 +317,7 @@ def test_p_rule_opposite_outer_angles():
         (VertexKind.X, Phase.exact(1, 2)),
         (VertexKind.Z, Phase.exact(1, 4)),
     )
-    out = apply_p(d, tuple(ids))
+    out = RULES["P"].apply(d, tuple(ids))
     from zxq.phase import circular_distance
 
     gap = circular_distance(out.phase(ids[0]).radians, math.pi + out.phase(ids[2]).radians)
@@ -342,7 +330,7 @@ def test_p_rule_degenerate_output_canonical():
     d, ids = wire_chain(
         (VertexKind.Z, Phase.zero()), (VertexKind.X, beta), (VertexKind.Z, Phase.zero())
     )
-    out = apply_p(d, tuple(ids))
+    out = RULES["P"].apply(d, tuple(ids))
     assert out.phase(ids[0]).close_to(beta, 1e-12)
     assert out.phase(ids[1]).close_to(Phase.zero(), 1e-12)
     assert out.phase(ids[2]).close_to(Phase.zero(), 1e-12)
@@ -355,8 +343,8 @@ def test_p_rule_colour_dual_involution():
         (VertexKind.X, Phase.approx(2.2)),
         (VertexKind.Z, Phase.approx(5.0)),
     )
-    once = apply_p(d, tuple(ids))
-    twice = apply_p(once, tuple(ids))
+    once = RULES["P"].apply(d, tuple(ids))
+    twice = RULES["P"].apply(once, tuple(ids))
     assert_semantics_preserved(d, twice)
 
 
@@ -434,8 +422,6 @@ def test_strategy_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(step_budget=0)
     with pytest.raises(ValueError):
-        StrategyConfig(tolerance=1.0)
-    with pytest.raises(ValueError):
         StrategyConfig(enabled_rules=frozenset({"nope"}))
 
 
@@ -511,3 +497,101 @@ def test_strict_replay_checks_the_final_digest():
     assert trace.replay(strict=False).iso_equal(out)
     with pytest.raises(RuleMatchError):
         trace.replay()
+
+
+# -- in-place transforms behind the copying apply -----------------------------------
+
+
+def _orientations():
+    for name, rule in sorted(RULES.items()):
+        yield name, rule.find, rule.rewrite, rule.apply
+        if rule.find_reverse is not None:
+            yield name, rule.find_reverse, rule.rewrite_reverse, rule.apply_reverse
+
+
+def _state(d):
+    spiders = {v: d.phase(v) for v in d.spiders()}
+    kinds = {v: d.kind(v) for v in d.vertices()}
+    return kinds, spiders, list(d.edges()), d.inputs, d.outputs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rewrite_in_place_matches_copying_apply(seed):
+    import random
+
+    from zxq.harness import RULE_SAMPLERS
+
+    rng = random.Random(seed)
+    checked = dict.fromkeys(RULES, 0)
+    for name, find, rewrite, apply in _orientations():
+        for _ in range(5):
+            d, _ = RULE_SAMPLERS[name](rng)
+            for s in find(d)[:2]:
+                before = d.digest()
+                out = apply(d, s)
+                assert d.digest() == before, name
+                g = d.copy()
+                assert rewrite(g, s) is None
+                assert g.digest() == out.digest(), name
+                checked[name] += 1
+    assert all(checked.values()), checked
+
+
+def test_rule_match_error_leaves_diagram_unchanged():
+    import itertools
+    import random
+
+    from zxq.harness import RULE_SAMPLERS
+
+    rng = random.Random(5)
+    rejected = dict.fromkeys(RULES, 0)
+    for name, find, rewrite, _ in _orientations():
+        d, _ = RULE_SAMPLERS[name](rng)
+        sites = find(d)
+        if not sites:
+            continue
+        want = _state(d)
+        for s in itertools.islice(itertools.permutations(d.vertices(), len(sites[0])), 400):
+            g = d.copy()
+            try:
+                rewrite(g, s)
+            except RuleMatchError:
+                rejected[name] += 1
+                assert _state(g) == want, (name, s)
+    assert all(rejected.values()), rejected
+
+
+def test_h_chain_closed_into_triangle_becomes_looped_h_box():
+    d = Diagram()
+    a, b, c = (d.add_vertex(k, Phase.exact(1, 2)) for k in (VertexKind.Z, VertexKind.X, VertexKind.Z))
+    d.add_edge(a, b)
+    d.add_edge(b, c)
+    d.add_edge(c, a)
+    (site,) = RULES["H1"].find_reverse(d)
+    out = RULES["H1"].apply_reverse(d, site)
+    (h,) = out.vertices()
+    assert out.kind(h) == VertexKind.H and out.self_loops(h) == 1
+    assert_semantics_preserved(d, out)
+
+
+def test_core_simplify_copies_a_constant_number_of_times(monkeypatch):
+    calls = []
+    original = Diagram.copy
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Diagram, "copy", counted)
+    steps, copies = [], []
+    t_chain = circuit_to_diagram(parse_circuit("qubits 1\n" + "t 0\n" * 60))
+    for d in (_golden_circuit(), t_chain):
+        calls.clear()
+        _, trace = simplify(d)
+        steps.append(len(trace.steps))
+        copies.append(len(calls))
+        trace.export_lines()
+        trace.replay()
+        assert len(calls) == copies[-1] + 2  # one working copy per replay
+    assert steps == [6, 59]
+    assert copies[0] == copies[1]
