@@ -70,11 +70,15 @@ def _phase_arg(text: str) -> Phase:
     try:
         rad = float(text)
     except ValueError:
+        if "/" not in text and not text.startswith("f:"):
+            raise UsageError(f"bad phase {text!r} (want p/d, f:<float> or plain radians)") from None
         return parse_phase(text)
     return Phase.approx(rad)
 
 
 def _cmd_eval(args) -> int:
+    if args.cap < 1:
+        raise UsageError(f"--cap must be at least 1, got {args.cap}")
     sys.stdout.write(matrix_to_text(_load_matrix(args.file, args.cap)))
     return 0
 
@@ -148,7 +152,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="print the matrix of a .zxc or .zxg file")
     pe.add_argument("file")
-    pe.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP, help="intermediate tensor entry cap")
+    pe.add_argument(
+        "--cap", type=int, default=DEFAULT_ENTRY_CAP,
+        help="entry cap on intermediate tensors when contracting a .zxg (at least 1); "
+        "a .zxc goes through the gate-matrix oracle and ignores it",
+    )
     pe.set_defaults(func=_cmd_eval)
 
     pc = sub.add_parser("check", help="equivalence of two files up to a scalar")

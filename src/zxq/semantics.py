@@ -8,12 +8,21 @@ the most significant bit of the row (outputs) / column (inputs) index.
 
 Evaluation contracts the wire network greedily, always merging the pair of
 tensors (joined by at least one wire) whose contraction yields the smallest
-open rank.  Intermediate tensors are capped in size; exceeding the cap
-raises :class:`ResourceLimitError`.
+open rank; ties go to the pair created first, compared by the lower id and
+then the higher.  Ids are creation order: the initial tensors in vertex
+order, then one new id per contraction result.  An index from each interior
+wire label to its two owning tensors is built once, and a heap holds the
+rank of every adjacent pair.  A contraction kills its two operands, so their
+stale heap entries are skipped when popped; only the result's labels change
+owner and only the result's neighbour pairs are pushed.  A step therefore
+costs the result's degree plus a heap operation, not a rescan of every
+pair.  Intermediate tensors are capped in size; exceeding the cap raises
+:class:`ResourceLimitError`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -66,10 +75,11 @@ def _trace_duplicates(t: np.ndarray, labels: list) -> tuple[np.ndarray, list]:
         labels = [lb for k, lb in enumerate(labels) if k not in (i, j)]
 
 
-def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
-    """The matrix denoted by ``d``, shape (2^outputs, 2^inputs)."""
-    d.validate()
-
+def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]:
+    """One tensor per wire between two boundaries, then one per interior
+    vertex, in vertex order.  Open legs are labelled ``("in", k)`` /
+    ``("out", k)``; each interior wire gets an int label held by exactly two
+    tensors (a self-loop is traced away at once)."""
     ext: dict[int, tuple] = {}
     for k, v in enumerate(d.inputs):
         ext[v] = ("in", k)
@@ -102,25 +112,40 @@ def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
         else:
             t = _spider_tensor(kind, d.phase(v), deg)
         tensors.append(_trace_duplicates(t, labels))
+    return tensors
 
-    # contract away internal wire labels
-    while True:
-        owners: dict[int, list[int]] = {}
-        for idx, (_, labels) in enumerate(tensors):
-            for lb in labels:
-                if isinstance(lb, int):
-                    owners.setdefault(lb, []).append(idx)
-        pairs = {tuple(sorted(o)) for o in owners.values() if len(o) == 2}
-        if not pairs:
-            break
-        best = None
-        for i, j in sorted(pairs):
-            la, lb = tensors[i][1], tensors[j][1]
-            shared = len(set(la) & set(lb))
-            rank = len(la) + len(lb) - 2 * shared
-            if best is None or (rank, i, j) < best:
-                best = (rank, i, j)
-        rank, i, j = best
+
+def _contract_greedy(tensors: list, max_entries: int) -> list[tuple[np.ndarray, list]]:
+    """Contract every int label away; returns the survivors in creation order.
+
+    A tensor's id is its index in ``tensors``; a contraction result is
+    appended, so it gets the next id, and its two operands become ``None``.
+    ``owners`` maps each live int label to the ids of its two tensors.  The
+    heap holds ``(rank, a, b)``, a < b, for every adjacent pair, where rank
+    is the number of open legs the contraction leaves; a pair's rank is
+    fixed while both members live, so a popped pair with a dead member is
+    just skipped.  After a contraction only the result's labels change
+    owner and only the result's neighbour pairs are pushed.
+    """
+    owners: dict = {}
+    for k, (_, labels) in enumerate(tensors):
+        for lb in labels:
+            if isinstance(lb, int):
+                owners.setdefault(lb, []).append(k)
+    shared_by_pair: dict = {}
+    for o in owners.values():
+        pair = tuple(o)
+        shared_by_pair[pair] = shared_by_pair.get(pair, 0) + 1
+    heap = [
+        (len(tensors[a][1]) + len(tensors[b][1]) - 2 * s, a, b)
+        for (a, b), s in shared_by_pair.items()
+    ]
+    heapq.heapify(heap)
+
+    while heap:
+        rank, i, j = heapq.heappop(heap)
+        if tensors[i] is None or tensors[j] is None:
+            continue
         if 2**rank > max_entries:
             raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
         ta, la = tensors[i]
@@ -130,10 +155,25 @@ def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
         axes_b = [lb.index(s) for s in shared]
         t = np.tensordot(ta, tb, axes=(axes_a, axes_b))
         labels = [x for x in la if x not in shared] + [x for x in lb if x not in shared]
-        tensors = [p for k, p in enumerate(tensors) if k not in (i, j)]
-        tensors.append(_trace_duplicates(t, labels))
+        k = len(tensors)
+        tensors[i] = tensors[j] = None
+        tensors.append((t, labels))
+        shared_with: dict[int, int] = {}
+        for x in labels:
+            o = owners.get(x)
+            if o is not None:
+                side = 0 if o[0] in (i, j) else 1
+                o[side] = k
+                n = o[1 - side]
+                shared_with[n] = shared_with.get(n, 0) + 1
+        for n, s in shared_with.items():
+            heapq.heappush(heap, (len(labels) + len(tensors[n][1]) - 2 * s, n, k))
+    return [p for p in tensors if p is not None]
 
-    # outer product of the disconnected pieces, then order the open legs
+
+def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
+    """Outer product of the tensors in list order, with the open legs put
+    in output-then-input port order, as a (2^outputs, 2^inputs) matrix."""
     result = np.array(1.0, dtype=complex)
     labels: list = []
     for t, lbs in tensors:
@@ -146,6 +186,13 @@ def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     perm = [labels.index(lb) for lb in order]
     result = np.transpose(result, perm) if perm else result
     return result.reshape(2**m, 2**n)
+
+
+def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
+    """The matrix denoted by ``d``, shape (2^outputs, 2^inputs)."""
+    d.validate()
+    tensors = _contract_greedy(_wire_tensors(d, max_entries), max_entries)
+    return _open_legs_matrix(d, tensors)
 
 
 @dataclass(frozen=True)

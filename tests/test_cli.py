@@ -101,13 +101,37 @@ def test_euler_accepts_floats(capsys):
 
 @pytest.mark.parametrize(
     "alpha, match",
-    [("1/0", "positive"), ("1/-2", "positive"), ("f:nan", "finite"), ("inf", "finite")],
+    [
+        ("1/0", "positive"),
+        ("1/-2", "positive"),
+        ("f:nan", "finite"),
+        ("inf", "finite"),
+        ("x", "bad phase 'x' (want p/d, f:<float> or plain radians)"),
+    ],
 )
 def test_euler_rejects_bad_phases(alpha, match, capsys):
     assert cli_main(["euler", alpha, "0", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and match in captured.err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("name", ["t.zxc", "t.zxg"])
+def test_eval_rejects_cap_below_one(files, name, cap, capsys):
+    assert cli_main(["eval", "--cap", cap, str(files / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cap must be at least 1, got {cap}\n"
+
+
+def test_eval_cap_bounds_zxg_only(files, capsys):
+    # the .zxg spider needs a 2^2-entry tensor; the .zxc form never contracts
+    assert cli_main(["eval", "--cap", "1", str(files / "t.zxg")]) == 2
+    assert cli_main(["eval", "--cap", "1", str(files / "t.zxc")]) == 0
+    capsys.readouterr()
+    assert cli_main(["eval", "--help"]) == 0
+    assert "ignores it" in " ".join(capsys.readouterr().out.split())
 
 
 def test_check_rejects_non_finite_phase(files, capsys):

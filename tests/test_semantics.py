@@ -1,22 +1,31 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from zxq.circuits import Gate
+from zxq.circuits import Circuit, Gate, circuit_matrix, circuit_to_diagram
 from zxq.diagram import (
     Diagram,
     VertexKind,
     cap_diagram,
     empty_diagram,
     hadamard_diagram,
+    identity_diagram,
     spider_diagram,
 )
+from zxq.harness import RULE_SAMPLERS, random_clifford_t_circuit
 from zxq.phase import Phase
+from zxq.rewrite import RULES
 from zxq.semantics import (
+    DEFAULT_ENTRY_CAP,
     HADAMARD,
+    ZERO_FLOOR,
     ResourceLimitError,
+    _open_legs_matrix,
+    _trace_duplicates,
+    _wire_tensors,
     equal_up_to_scalar,
     evaluate,
     gate_matrix,
@@ -198,3 +207,166 @@ def test_resource_cap():
 def test_matrix_dump_format():
     text = matrix_to_text(np.array([[1.0, 0.5j], [-1.0, 1 + 1j]]))
     assert text == "1+0i\t0+0.5i\n-1+0i\t1+1i\n"
+
+
+# -- indexed contraction against the O(T^2) reference planner -------------------
+
+
+def _reference_contract(tensors, max_entries):
+    """The plain greedy loop: at every step rebuild the owner of each wire
+    label, rescan every adjacent pair and contract the least ``(rank, i, j)``,
+    i and j being list positions.  Survivors keep their order and the result
+    is appended, so positions follow creation order."""
+    while True:
+        owners = {}
+        for idx, (_, labels) in enumerate(tensors):
+            for lb in labels:
+                if isinstance(lb, int):
+                    owners.setdefault(lb, []).append(idx)
+        pairs = {tuple(sorted(o)) for o in owners.values() if len(o) == 2}
+        if not pairs:
+            return tensors
+        best = None
+        for i, j in sorted(pairs):
+            la, lb = tensors[i][1], tensors[j][1]
+            shared = len(set(la) & set(lb))
+            rank = len(la) + len(lb) - 2 * shared
+            if best is None or (rank, i, j) < best:
+                best = (rank, i, j)
+        rank, i, j = best
+        if 2**rank > max_entries:
+            raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
+        ta, la = tensors[i]
+        tb, lb = tensors[j]
+        shared = sorted(set(la) & set(lb), key=str)
+        axes_a = [la.index(s) for s in shared]
+        axes_b = [lb.index(s) for s in shared]
+        t = np.tensordot(ta, tb, axes=(axes_a, axes_b))
+        labels = [x for x in la if x not in shared] + [x for x in lb if x not in shared]
+        tensors = [p for k, p in enumerate(tensors) if k not in (i, j)]
+        tensors.append(_trace_duplicates(t, labels))
+
+
+def reference_evaluate(d, max_entries=DEFAULT_ENTRY_CAP):
+    d.validate()
+    tensors = _reference_contract(_wire_tensors(d, max_entries), max_entries)
+    return _open_legs_matrix(d, tensors)
+
+
+def assert_bit_identical(d):
+    got, want = evaluate(d), reference_evaluate(d)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_indexed_contraction_matches_reference_on_circuits(width):
+    rng = random.Random(100 + width)
+    for _ in range(6):
+        assert_bit_identical(circuit_to_diagram(random_clifford_t_circuit(rng, width, 80)))
+
+
+def test_indexed_contraction_matches_reference_on_rule_instances():
+    rng = random.Random(17)
+    for name, sampler in RULE_SAMPLERS.items():
+        for _ in range(8):
+            d, site = sampler(rng)
+            assert_bit_identical(d)
+            assert_bit_identical(RULES[name].apply(d, site))
+
+
+def _self_loops():
+    d = spider_diagram(VertexKind.Z, Phase.exact(1, 4), 1, 2)
+    v = next(v for v in d.vertices() if d.kind(v) == VertexKind.Z)
+    d.add_edge(v, v, 2)
+    w = d.add_vertex(VertexKind.X, Phase.exact(3, 4))
+    d.add_edge(w, w)
+    d.add_edge(v, w)
+    return d
+
+
+def _parallel_edges():
+    d = Diagram()
+    i, o = d.add_input(), d.add_output()
+    a = d.add_vertex(VertexKind.Z, Phase.exact(1, 2))
+    b = d.add_vertex(VertexKind.X, Phase.exact(1, 4))
+    c = d.add_vertex(VertexKind.Z, Phase.zero())
+    d.add_edge(i, a)
+    d.add_edge(a, b, 3)
+    d.add_edge(b, c, 2)
+    d.add_edge(c, a)
+    d.add_edge(c, o)
+    return d
+
+
+def _closed_scalar():
+    d = Diagram()
+    a = d.add_vertex(VertexKind.Z, Phase.exact(1, 4))
+    b = d.add_vertex(VertexKind.X, Phase.exact(1, 2))
+    h = d.add_vertex(VertexKind.H)
+    d.add_edge(a, b, 2)
+    d.add_edge(a, h)
+    d.add_edge(h, b)
+    return d
+
+
+def _pieces():
+    # a wire from input to output, a degree-0 spider, a closed piece and a
+    # connected piece side by side
+    d = identity_diagram(1).tensor(spider_diagram(VertexKind.X, Phase.pi(), 2, 1))
+    d.add_vertex(VertexKind.Z, Phase.exact(1, 3))
+    return d.tensor(_closed_scalar()).tensor(_parallel_edges())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _self_loops,
+        _parallel_edges,
+        lambda: identity_diagram(3),
+        _pieces,
+        lambda: spider_diagram(VertexKind.Z, Phase.exact(1, 4), 0, 0),
+        _closed_scalar,
+        empty_diagram,
+        cap_diagram,
+    ],
+    ids=["self-loops", "parallel", "wires", "pieces", "degree-0", "closed", "empty", "cap"],
+)
+def test_indexed_contraction_matches_reference_on_edge_cases(build):
+    assert_bit_identical(build())
+
+
+def _outcome(evaluator, d, cap):
+    try:
+        return evaluator(d, max_entries=cap).tobytes()
+    except ResourceLimitError as e:
+        return str(e)
+
+
+def test_resource_limit_at_the_same_caps_as_reference():
+    d = circuit_to_diagram(random_clifford_t_circuit(random.Random(3), 5, 120))
+    caps = [2**k for k in range(14)]
+    got = [_outcome(evaluate, d, cap) for cap in caps]
+    assert got == [_outcome(reference_evaluate, d, cap) for cap in caps]
+    # the sweep spans the peak: the vertex check, contraction limits, success
+    messages = [o for o in got if isinstance(o, str)]
+    assert any(m.startswith("vertex") for m in messages)
+    assert any(m.startswith("contraction") for m in messages)
+    assert isinstance(got[-1], bytes)
+
+
+def test_long_two_qubit_circuit_matches_oracle():
+    # about 3000 one-qubit gates: far too many tensors for a per-step rescan
+    rng = random.Random(9)
+    one = ["h", "t", "tdg", "s", "sdg", "z", "x"]
+    gates = []
+    for k in range(3000):
+        if k % 150 == 75:
+            gates.append(Gate("cnot", tuple(rng.sample(range(2), 2))))
+        else:
+            gates.append(Gate(rng.choice(one), (rng.randrange(2),)))
+    c = Circuit(2, tuple(gates))
+    assert sum(g.name == "cnot" for g in gates) == 20
+    got = evaluate(circuit_to_diagram(c))
+    assert np.linalg.norm(got) > 1e6 * ZERO_FLOOR
+    assert equal_up_to_scalar(got, circuit_matrix(c)).equal
