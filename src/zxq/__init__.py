@@ -13,6 +13,7 @@ from .circuits import (
     circuit_matrix,
     circuit_to_diagram,
     format_circuit,
+    gate_matrix,
     parse_circuit,
     selinger_bian_fixtures,
 )
@@ -58,7 +59,6 @@ from .semantics import (
     ScalarVerdict,
     equal_up_to_scalar,
     evaluate,
-    gate_matrix,
     matrix_to_text,
 )
 

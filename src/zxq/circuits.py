@@ -4,19 +4,25 @@ The ``.zxc`` text format: the first non-comment line is ``qubits N``,
 then one gate per line in application order (the first line acts first).
 ``#`` starts a comment.  Rotation phases are written ``p/d`` meaning
 (p/d)*pi, or ``f:<float>`` for plain radians (:func:`zxq.phase.parse_phase`).
+
+This module owns the gate set: names, arities, diagram patterns and
+unitaries.  The diagram-free oracle :func:`circuit_matrix` holds the product
+so far as a ``(2,)*w + (2^w,)`` tensor, one axis per qubit (qubit 0 first,
+the most significant bit) plus the column index, and contracts each gate's
+2x2 or 4x4 matrix into that gate's own qubit axes with ``tensordot``: a
+gate costs O(4^w), where a dense 2^w x 2^w embedding would cost O(8^w).
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .diagram import Diagram, VertexKind
 from .phase import Phase, parse_phase
-from .semantics import gate_matrix
+from .semantics import HADAMARD
 
 GATE_ARITY = {
     "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1, "z": 1, "x": 1,
@@ -195,12 +201,58 @@ def circuit_to_diagram(c: Circuit) -> Diagram:
     return d
 
 
+# -- gate unitaries --------------------------------------------------------------
+
+_OMEGA = np.exp(1j * np.pi / 4)
+
+#: the unitary of every gate without a phase; a two-qubit gate's first
+#: qubit is the most significant bit of its 4x4 matrix.  No entry holds a
+#: -0 (a literal ``-1j`` has one in its real part): a -0 can survive into a
+#: product's zero entries, and ``zxq eval`` prints it as ``-0``.
+GATE_UNITARIES = {
+    name: np.array(m, dtype=complex)
+    for name, m in {
+        "h": HADAMARD,
+        "t": [[1, 0], [0, _OMEGA]],
+        "tdg": [[1, 0], [0, _OMEGA.conjugate()]],
+        "s": [[1, 0], [0, 1j]],
+        "sdg": [[1, 0], [0, complex(0, -1)]],
+        "z": [[1, 0], [0, -1]],
+        "x": [[0, 1], [1, 0]],
+        "cnot": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        "cz": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+        "swap": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    }.items()
+}
+
+
+def _unitary(g: Gate) -> np.ndarray:
+    if g.phase is None:
+        return GATE_UNITARIES[g.name]
+    u = np.array([[1, 0], [0, np.exp(1j * g.phase.radians)]], dtype=complex)
+    return HADAMARD @ u @ HADAMARD if g.name == "rx" else u
+
+
 def circuit_matrix(c: Circuit, max_width: int = 12) -> np.ndarray:
-    """Ordered product of the gate unitaries (the diagram-free oracle)."""
+    """Ordered product of the gate unitaries (the diagram-free oracle), each
+    applied to its own qubit axes of the identity (see the module doc)."""
     if c.width > max_width:
         raise ValueError(f"width {c.width} exceeds the cap of {max_width}")
-    mats = [gate_matrix(g, c.width) for g in c.gates]
-    return reduce(lambda acc, m: m @ acc, mats, np.eye(2**c.width, dtype=complex))
+    n = 2**c.width
+    state = np.eye(n, dtype=complex).reshape((2,) * c.width + (n,))
+    for g in c.gates:
+        qs = list(g.qubits)
+        k = len(qs)
+        u = _unitary(g).reshape((2,) * 2 * k)
+        state = np.tensordot(u, state, axes=(list(range(k, 2 * k)), qs))
+        state = np.moveaxis(state, list(range(k)), qs)
+    return state.reshape(n, n)
+
+
+def gate_matrix(gate: Gate, width: int | None = None) -> np.ndarray:
+    """Standard unitary of one gate on ``width`` qubits, qubit 0 = MSB."""
+    w = width if width is not None else max(gate.qubits) + 1
+    return circuit_matrix(Circuit(w, (gate,)), max_width=w)
 
 
 # -- the 2-qubit relation corpus ------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -39,14 +40,18 @@ class UsageError(Exception):
 
 def _tolerance(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("ZXQ_TOL")
-    if env is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("ZXQ_TOL")
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "ZXQ_TOL"
         except ValueError:
             raise UsageError(f"bad ZXQ_TOL value {env!r}") from None
-    return DEFAULT_TOL
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"{source} must be finite and at least 0, got {tol:g}")
+    return tol
 
 
 def _load_matrix(path: str, cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
@@ -128,6 +133,8 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     tol = _tolerance(args)
     if args.campaign == "rules":
         rep = verify_rules(seed=args.seed, samples=args.samples, tol=tol)
@@ -146,6 +153,9 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+_TOL_HELP = "bound on the relative residual, finite and at least 0 (default 1e-9, or ZXQ_TOL)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="zxq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -162,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="equivalence of two files up to a scalar")
     pc.add_argument("a")
     pc.add_argument("b")
-    pc.add_argument("--tol", type=float, default=None)
+    pc.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     pc.set_defaults(func=_cmd_check)
 
     ps = sub.add_parser("simplify", help="rewrite a diagram to a smaller one")
@@ -182,8 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification campaign")
     pv.add_argument("campaign", choices=("rules", "relations", "pformulas"))
     pv.add_argument("--seed", type=lambda s: int(s) % (1 << 64), default=0)
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--tol", type=float, default=None)
+    pv.add_argument("--samples", type=int, default=None, help="at least 1; relations ignores it")
+    pv.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     pv.set_defaults(func=_cmd_verify)
 
     pf = sub.add_parser("fixtures", help="fixture corpus utilities")

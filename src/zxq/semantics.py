@@ -1,5 +1,8 @@
 """Evaluation of diagrams to complex matrices, and scalar-blind comparison.
 
+This module knows only diagrams; gate unitaries and the circuit oracle
+live in :mod:`zxq.circuits`.
+
 A diagram with n inputs and m outputs denotes a 2^m x 2^n complex matrix:
 a Z-spider with phase a contributes |0..0><0..0| + e^{ia}|1..1><1..1|, an
 X-spider is the same tensor conjugated by Hadamards on every leg, an H-box
@@ -234,52 +237,3 @@ def matrix_to_text(m: np.ndarray) -> str:
         rows.append("\t".join(f"{z.real:.12g}{z.imag:+.12g}i" for z in row))
     return "\n".join(rows) + "\n"
 
-
-# -- gate unitaries -----------------------------------------------------------
-
-_T = np.diag([1.0, np.exp(1j * math.pi / 4)]).astype(complex)
-_S = np.diag([1.0, 1j]).astype(complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_P0 = np.diag([1.0, 0.0]).astype(complex)
-_P1 = np.diag([0.0, 1.0]).astype(complex)
-
-
-def _embed(us: dict[int, np.ndarray], width: int) -> np.ndarray:
-    out = np.array(1.0, dtype=complex)
-    for q in range(width):
-        out = np.kron(out, us.get(q, _ID2))
-    return out
-
-
-def gate_matrix(gate, width: int | None = None) -> np.ndarray:
-    """Standard unitary of one gate on ``width`` qubits, qubit 0 = MSB."""
-    qs = gate.qubits
-    w = width if width is not None else max(qs) + 1
-    name = gate.name
-    if name in ("rz", "rx"):
-        u = np.diag([1.0, np.exp(1j * gate.phase.radians)]).astype(complex)
-        if name == "rx":
-            u = HADAMARD @ u @ HADAMARD
-        return _embed({qs[0]: u}, w)
-    single = {"h": HADAMARD, "t": _T, "tdg": _T.conj().T, "s": _S, "sdg": _S.conj().T,
-              "z": _Z, "x": _X}
-    if name in single:
-        return _embed({qs[0]: single[name]}, w)
-    if name == "cnot":
-        c, t = qs
-        return _embed({c: _P0}, w) + _embed({c: _P1, t: _X}, w)
-    if name == "cz":
-        a, b = qs
-        return _embed({a: _P0}, w) + _embed({a: _P1, b: _Z}, w)
-    if name == "swap":
-        a, b = qs
-        e01 = np.array([[0, 1], [0, 0]], dtype=complex)
-        e10 = e01.T.copy()
-        return (
-            _embed({a: _P0, b: _P0}, w)
-            + _embed({a: _P1, b: _P1}, w)
-            + _embed({a: e01, b: e10}, w)
-            + _embed({a: e10, b: e01}, w)
-        )
-    raise ValueError(f"unknown gate {name!r}")

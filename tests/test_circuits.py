@@ -1,4 +1,6 @@
+import math
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from zxq.circuits import (
     export_fixtures,
     fixture_asset_names,
     format_circuit,
+    gate_matrix,
     parse_circuit,
     selinger_bian_fixtures,
 )
 from zxq.diagram import VertexKind
 from zxq.harness import random_clifford_t_circuit
 from zxq.phase import Phase
-from zxq.semantics import equal_up_to_scalar, evaluate
+from zxq.semantics import HADAMARD, equal_up_to_scalar, evaluate
 
 
 def test_parse_basic():
@@ -139,6 +142,129 @@ def test_circuit_matrix_width_cap():
         circuit_matrix(Circuit(13, ()), max_width=12)
 
 
+# -- the axis-wise oracle against the kron-embedding one it replaced ----------------
+
+_ID2 = np.eye(2, dtype=complex)
+_T = np.diag([1.0, np.exp(1j * math.pi / 4)]).astype(complex)
+_S = np.diag([1.0, 1j]).astype(complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_P0 = np.diag([1.0, 0.0]).astype(complex)
+_P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _embed(us, width):
+    out = np.array(1.0, dtype=complex)
+    for q in range(width):
+        out = np.kron(out, us.get(q, _ID2))
+    return out
+
+
+def _reference_gate_matrix(gate, w):
+    qs = gate.qubits
+    name = gate.name
+    if name in ("rz", "rx"):
+        u = np.diag([1.0, np.exp(1j * gate.phase.radians)]).astype(complex)
+        if name == "rx":
+            u = HADAMARD @ u @ HADAMARD
+        return _embed({qs[0]: u}, w)
+    single = {"h": HADAMARD, "t": _T, "tdg": _T.conj().T, "s": _S, "sdg": _S.conj().T,
+              "z": _Z, "x": _X}
+    if name in single:
+        return _embed({qs[0]: single[name]}, w)
+    a, b = qs
+    if name == "cnot":
+        return _embed({a: _P0}, w) + _embed({a: _P1, b: _X}, w)
+    if name == "cz":
+        return _embed({a: _P0}, w) + _embed({a: _P1, b: _Z}, w)
+    e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+    e10 = e01.T.copy()
+    return (
+        _embed({a: _P0, b: _P0}, w)
+        + _embed({a: _P1, b: _P1}, w)
+        + _embed({a: e01, b: e10}, w)
+        + _embed({a: e10, b: e01}, w)
+    )
+
+
+def _reference_circuit_matrix(c):
+    """The old oracle: a dense kron embedding per gate, multiplied in order."""
+    mats = [_reference_gate_matrix(g, c.width) for g in c.gates]
+    return reduce(lambda acc, m: m @ acc, mats, np.eye(2**c.width, dtype=complex))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_oracle_bit_identical_to_kron_reference(width):
+    rng = random.Random(1000 + width)
+    for _ in range(35):
+        c = random_clifford_t_circuit(rng, width=width, max_gates=40 * width)
+        assert _same_bits(circuit_matrix(c), _reference_circuit_matrix(c)), format_circuit(c)
+
+
+def test_oracle_bit_identical_on_fixture_sides():
+    for fx in selinger_bian_fixtures():
+        for side in (fx.lhs, fx.rhs):
+            assert _same_bits(circuit_matrix(side), _reference_circuit_matrix(side)), fx.id
+
+
+def _every_placement(width):
+    """Every gate name on every qubit, or every ordered pair of qubits."""
+    for name in ("h", "t", "tdg", "s", "sdg", "z", "x"):
+        for q in range(width):
+            yield Gate(name, (q,))
+    for name, phase in (("rz", Phase.exact(3, 4)), ("rx", Phase.approx(0.3))):
+        for q in range(width):
+            yield Gate(name, (q,), phase)
+    for name in ("cnot", "cz", "swap"):
+        for a in range(width):
+            for b in range(width):
+                if a != b:
+                    yield Gate(name, (a, b))
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_oracle_bit_identical_on_every_gate_placement(width):
+    gates = list(_every_placement(width))
+    for g in gates:
+        one = Circuit(width, (g,))
+        assert _same_bits(circuit_matrix(one), _reference_circuit_matrix(one)), g
+        # equal values; a bare kron embedding may hold -0 where a product has +0
+        assert np.array_equal(gate_matrix(g, width), _reference_gate_matrix(g, width)), g
+    # all of them in one circuit, and again in reverse, so that each gate
+    # acts on a matrix with no zero entries left to hide a wrong axis
+    c = Circuit(width, tuple(gates + gates[::-1]))
+    assert _same_bits(circuit_matrix(c), _reference_circuit_matrix(c))
+
+
+def test_gate_matrix_reversed_and_non_adjacent_qubits():
+    # cnot 2 0 flips qubit 0 (the MSB) when qubit 2 (the LSB) is set
+    want = np.eye(8)[[0, 5, 2, 7, 4, 1, 6, 3]]
+    assert np.array_equal(gate_matrix(Gate("cnot", (2, 0)), 3), want)
+    want = np.eye(8)[[0, 4, 2, 6, 1, 5, 3, 7]]
+    assert np.array_equal(gate_matrix(Gate("swap", (0, 2)), 3), want)
+
+
+def test_oracle_close_to_kron_reference_at_width_8():
+    # a 256x256 BLAS product rounds in another order, so bits may differ here;
+    # unitary entries are at most 1, so atol is relative to the unit scale
+    rng = random.Random(1008)
+    circuits = [random_clifford_t_circuit(rng, width=8, max_gates=320) for _ in range(6)]
+    rng = random.Random(1)
+    while len(circuits) < 7:
+        c = random_clifford_t_circuit(rng, width=8, max_gates=1100)
+        if len(c.gates) > 990:
+            circuits.append(c)
+    assert len(circuits[-1].gates) == 1045
+    for c in circuits:
+        np.testing.assert_allclose(
+            circuit_matrix(c), _reference_circuit_matrix(c), rtol=1e-12, atol=1e-12
+        )
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("cz", (1, 1))
@@ -148,6 +274,8 @@ def test_gate_validation():
         Gate("rz", (0,))
     with pytest.raises(ValueError):
         Circuit(1, (Gate("h", (3,)),))
+    with pytest.raises(ValueError, match="out of range"):
+        gate_matrix(Gate("h", (3,)), 2)
 
 
 def test_is_clifford_t():

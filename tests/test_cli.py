@@ -63,8 +63,28 @@ def test_check_tolerance_flag(files):
 def test_env_tolerance(files, monkeypatch):
     monkeypatch.setenv("ZXQ_TOL", "not-a-float")
     assert cli_main(["check", str(files / "t.zxc"), str(files / "t.zxc")]) == 2
+    for bad in ("nan", "-1", "inf"):
+        monkeypatch.setenv("ZXQ_TOL", bad)
+        assert cli_main(["check", str(files / "t.zxc"), str(files / "t.zxc")]) == 2
     monkeypatch.setenv("ZXQ_TOL", "1e-9")
     assert cli_main(["check", str(files / "t.zxc"), str(files / "t.zxc")]) == 0
+    monkeypatch.setenv("ZXQ_TOL", "0")
+    assert cli_main(["check", str(files / "t.zxc"), str(files / "t.zxc")]) == 0
+
+
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1"), ("inf", "inf")])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_rejects_bad_tolerance(files, command, tol, shown, capsys):
+    # a NaN bound failed every comparison and an infinite one passed every one
+    (files / "h.zxc").write_text("qubits 1\nh 0\n")
+    (files / "ht.zxc").write_text("qubits 1\nh 0\nt 0\n")
+    argv = ["check", str(files / "h.zxc"), str(files / "ht.zxc")]
+    if command == "verify":
+        argv = ["verify", "rules", "--samples", "1"]
+    assert cli_main([*argv, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol must be finite and at least 0, got {shown}\n"
 
 
 def test_simplify_writes_output_and_trace(files, capsys):
@@ -154,6 +174,15 @@ def test_verify_relations_exit_zero(capsys):
 
 def test_verify_pformulas_exit_zero(capsys):
     assert cli_main(["verify", "pformulas", "--samples", "50"]) == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("campaign", ["rules", "relations", "pformulas"])
+def test_verify_rejects_samples_below_one(campaign, samples, capsys):
+    assert cli_main(["verify", campaign, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_fixtures_export(tmp_path, capsys):

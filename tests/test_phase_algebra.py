@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zxq.phase import TWO_PI, Phase, circular_distance
@@ -138,13 +139,74 @@ def test_recomposition(a, b, g):
 
 @settings(max_examples=150, deadline=None)
 @given(unit, unit, unit)
+@example(0.0, 1.0, 2.4844023926397053e-12)
 def test_agrees_with_extraction_oracle(a, b, g):
+    # the oracle reads arg(q) off matrix entries that carry ~1e-16 rounding,
+    # so its angle error is ~1e-16/|z1|; at the example above (|z1| = 1.2e-12)
+    # it is off by 4e-6 while p_rule_angles is exact to 50 digits.  The
+    # matrix-free check below covers |z1| down to 1e-15.
     t = triple(a, b, g)
     assume(degenerate_case(t) is None)
+    assume(abs(chain_parameters(t)[1]) > 1e-5)
     ours = p_rule_angles(t)
     oracle = euler_xzx_extract(zxz_matrix(t))
     for x, y in zip(ours.radians, oracle.radians):
         assert circular_distance(x, y) < 1e-7
+
+
+def _closed_form_50_digits(t: EulerTriple, case: str | None):
+    """p_rule_angles' closed form (and its z1=0 / z=0 branches) evaluated
+    with 50 significant digits at the same float inputs; also |z1|."""
+    with mpmath.workdps(50):
+        a, b, g = (mpmath.mpf(x) for x in t.radians)
+        z = mpmath.mpc(
+            mpmath.cos(b / 2) * mpmath.cos((a + g) / 2), mpmath.sin(b / 2) * mpmath.cos((a - g) / 2)
+        )
+        z1 = mpmath.mpc(
+            mpmath.cos(b / 2) * mpmath.sin((a + g) / 2), -mpmath.sin(b / 2) * mpmath.sin((a - g) / 2)
+        )
+        if case == "z1=0":
+            angles = (2 * mpmath.arg(z), 0, 0)
+        elif case == "z=0":
+            angles = (2 * mpmath.arg(z1), mpmath.pi, 0)
+        else:
+            angles = (
+                mpmath.arg(z) + mpmath.arg(z1),
+                2 * mpmath.arg(abs(z / z1) + 1j),
+                mpmath.arg(z) - mpmath.arg(z1),
+            )
+        return [float(x) for x in angles], float(abs(z1))
+
+
+#: a signed power of ten from 1e-15 to 1; |z1| scales with it
+tiny = st.builds(lambda s, e: s * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-15.0, 0.0))
+middle = st.floats(min_value=0.1, max_value=TWO_PI - 0.1)
+
+
+@st.composite
+def near_z1_zero(draw):
+    """Chains with z1 near 0: alpha = 0 with a tiny gamma, or gamma = -alpha
+    with alpha near 0 or pi, where alpha + gamma rounds in floats."""
+    eps, b = draw(tiny), draw(middle)
+    family = draw(st.sampled_from(("alpha=0", "near 0", "near pi")))
+    if family == "alpha=0":
+        return triple(0.0, b, eps % TWO_PI)
+    a = (eps if family == "near 0" else math.pi + eps) % TWO_PI
+    return triple(a, b, (TWO_PI - a) % TWO_PI)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_z1_zero())
+@example(triple(0.0, 1.0, 2.4844023926397053e-12))
+def test_p_rule_angles_match_50_digit_closed_form(t):
+    # a float rounding of ~1e-16 in z1 moves arg(z1) by ~1e-16/|z1|; over
+    # 1,500 draws per family the error times |z1| stayed under 6e-16
+    case = degenerate_case(t)
+    assume(case != "beta1=0")
+    want, z1 = _closed_form_50_digits(t, case)
+    bound = max(1e-12, 4e-15 / z1)
+    for x, y in zip(p_rule_angles(t).radians, want):
+        assert circular_distance(x, y) <= bound, (case, z1)
 
 
 @settings(max_examples=150, deadline=None)

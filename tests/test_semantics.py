@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from zxq.circuits import Circuit, Gate, circuit_matrix, circuit_to_diagram
+from zxq.circuits import Circuit, Gate, circuit_matrix, circuit_to_diagram, gate_matrix
 from zxq.diagram import (
     Diagram,
     VertexKind,
@@ -28,7 +28,6 @@ from zxq.semantics import (
     _wire_tensors,
     equal_up_to_scalar,
     evaluate,
-    gate_matrix,
     matrix_to_text,
 )
 
