@@ -19,7 +19,12 @@ rank of every adjacent pair.  A contraction kills its two operands, so their
 stale heap entries are skipped when popped; only the result's labels change
 owner and only the result's neighbour pairs are pushed.  A step therefore
 costs the result's degree plus a heap operation, not a rescan of every
-pair.  Intermediate tensors are capped in size; exceeding the cap raises
+pair.  Greedy gives up at its first contraction with more open legs than
+folding the tensors into one in creation order ever holds, a peak known
+from the labels alone, and that sweep runs instead.  A circuit's diagram
+lists its vertices in gate order, so there the sweep stays near twice the
+width, where greedy's peak depends on the gate sequence.  Intermediate
+tensors are capped in size; exceeding the cap raises
 :class:`ResourceLimitError`.
 """
 
@@ -118,8 +123,11 @@ def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]
     return tensors
 
 
-def _contract_greedy(tensors: list, max_entries: int) -> list[tuple[np.ndarray, list]]:
-    """Contract every int label away; returns the survivors in creation order.
+def _contract_greedy(
+    tensors: list, max_entries: int, max_rank: int
+) -> list[tuple[np.ndarray, list]] | None:
+    """Contract every int label away; returns the survivors in creation
+    order, or None at the first contraction above ``max_rank`` open legs.
 
     A tensor's id is its index in ``tensors``; a contraction result is
     appended, so it gets the next id, and its two operands become ``None``.
@@ -149,15 +157,13 @@ def _contract_greedy(tensors: list, max_entries: int) -> list[tuple[np.ndarray, 
         rank, i, j = heapq.heappop(heap)
         if tensors[i] is None or tensors[j] is None:
             continue
+        if rank > max_rank:
+            return None
         if 2**rank > max_entries:
             raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
         ta, la = tensors[i]
         tb, lb = tensors[j]
-        shared = sorted(set(la) & set(lb), key=str)
-        axes_a = [la.index(s) for s in shared]
-        axes_b = [lb.index(s) for s in shared]
-        t = np.tensordot(ta, tb, axes=(axes_a, axes_b))
-        labels = [x for x in la if x not in shared] + [x for x in lb if x not in shared]
+        t, labels = _contract_pair(ta, la, tb, lb)
         k = len(tensors)
         tensors[i] = tensors[j] = None
         tensors.append((t, labels))
@@ -172,6 +178,35 @@ def _contract_greedy(tensors: list, max_entries: int) -> list[tuple[np.ndarray, 
         for n, s in shared_with.items():
             heapq.heappush(heap, (len(labels) + len(tensors[n][1]) - 2 * s, n, k))
     return [p for p in tensors if p is not None]
+
+
+def _contract_pair(ta, la: list, tb, lb: list, key=str) -> tuple[np.ndarray, list]:
+    """Contract over the shared labels, taken in ``key`` order; the result's
+    legs are ``la``'s open ones, then ``lb``'s."""
+    shared = sorted(set(la) & set(lb), key=key)
+    t = np.tensordot(ta, tb, axes=([la.index(s) for s in shared], [lb.index(s) for s in shared]))
+    return t, [x for x in la if x not in shared] + [x for x in lb if x not in shared]
+
+
+def _sweep_rank(tensors: list) -> int:
+    """Peak rank of :func:`_contract_sweep`: its running tensor's legs are
+    the symmetric difference of the label sets folded in so far."""
+    legs, peak = set(), 0
+    for k, (_, labels) in enumerate(tensors):
+        legs ^= set(labels)
+        peak = max(peak, len(legs) if k else 0)
+    return peak
+
+
+def _contract_sweep(tensors: list) -> list[tuple[np.ndarray, list]]:
+    """Fold the tensors into one in creation order.  The running tensor goes
+    second, its shared legs in its own axis order, and the new legs go first,
+    where the next gate meets them: ``tensordot`` then mostly reads its
+    leading axes in place instead of copying it into a transposed layout."""
+    (t, labels), *rest = tensors
+    for tb, lb in rest:
+        t, labels = _contract_pair(tb, lb, t, labels, key=labels.index)
+    return [(t, labels)]
 
 
 def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
@@ -194,8 +229,14 @@ def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
 def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     """The matrix denoted by ``d``, shape (2^outputs, 2^inputs)."""
     d.validate()
-    tensors = _contract_greedy(_wire_tensors(d, max_entries), max_entries)
-    return _open_legs_matrix(d, tensors)
+    tensors = _wire_tensors(d, max_entries)
+    sweep = _sweep_rank(tensors)
+    survivors = _contract_greedy(list(tensors), max_entries, sweep)
+    if survivors is None:
+        if 2**sweep > max_entries:
+            raise ResourceLimitError(f"contraction needs a tensor of 2^{sweep} entries")
+        survivors = _contract_sweep(tensors)
+    return _open_legs_matrix(d, survivors)
 
 
 @dataclass(frozen=True)

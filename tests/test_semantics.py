@@ -23,7 +23,10 @@ from zxq.semantics import (
     HADAMARD,
     ZERO_FLOOR,
     ResourceLimitError,
+    _contract_greedy,
+    _contract_sweep,
     _open_legs_matrix,
+    _sweep_rank,
     _trace_duplicates,
     _wire_tensors,
     equal_up_to_scalar,
@@ -369,3 +372,43 @@ def test_long_two_qubit_circuit_matches_oracle():
     got = evaluate(circuit_to_diagram(c))
     assert np.linalg.norm(got) > 1e6 * ZERO_FLOOR
     assert equal_up_to_scalar(got, circuit_matrix(c)).equal
+
+
+# -- the creation-order sweep ---------------------------------------------------
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_sweep_rank_of_a_circuit_is_bounded_by_its_width(width):
+    # vertices come in gate order: the running tensor holds the inputs, one
+    # cut wire per qubit and at most two more legs of the gate being folded
+    rng = random.Random(300 + width)
+    for _ in range(20):
+        d = circuit_to_diagram(random_clifford_t_circuit(rng, width, 300))
+        assert _sweep_rank(_wire_tensors(d, DEFAULT_ENTRY_CAP)) <= 2 * width + 2
+
+
+def test_evaluate_takes_the_sweep_when_greedy_peaks_higher():
+    c = random_clifford_t_circuit(random.Random(0), 6, 300)
+    d = circuit_to_diagram(c)
+    tensors = _wire_tensors(d, DEFAULT_ENTRY_CAP)
+    assert _sweep_rank(tensors) == 14
+    # greedy's peak is 17
+    assert _contract_greedy(list(tensors), 2**17, 16) is None
+    assert _contract_greedy(list(tensors), 2**17, 17) is not None
+    got = evaluate(d, max_entries=2**14)
+    assert got.tobytes() == _open_legs_matrix(d, _contract_sweep(tensors)).tobytes()
+    assert equal_up_to_scalar(got, circuit_matrix(c)).equal
+    with pytest.raises(ResourceLimitError, match=r"2\^14 entries"):
+        evaluate(d, max_entries=2**13)
+
+
+def test_deep_eight_qubit_circuit_evaluates_under_the_default_cap():
+    # greedy needs 2^24 entries here and the sweep 2^18, under the 2^20 cap
+    rng = random.Random(1)
+    c = random_clifford_t_circuit(rng, 8, 1159)
+    while len(c.gates) <= 0.9 * 1159:
+        c = random_clifford_t_circuit(rng, 8, 1159)
+    assert len(c.gates) == 1045
+    got = evaluate(circuit_to_diagram(c))
+    # 1/sqrt(2) per CNOT bridge leaves a norm near 1e-28, under ZERO_FLOOR
+    assert equal_up_to_scalar(got / np.linalg.norm(got), circuit_matrix(c)).equal
