@@ -50,13 +50,14 @@ def _parse_phase(raw: Any, where: str) -> Phase:
     if not isinstance(raw, dict):
         raise ZxgFormatError(f"{where}: phase must be an object")
     if set(raw) == {"num", "den"}:
-        if not isinstance(raw["num"], int) or not isinstance(raw["den"], int):
+        # exact type tests: a JSON true/false loads as a bool, an int subclass
+        if type(raw["num"]) is not int or type(raw["den"]) is not int:
             raise ZxgFormatError(f"{where}: num/den must be integers")
         if raw["den"] <= 0:
             raise ZxgFormatError(f"{where}: denominator must be positive")
         return Phase.exact(raw["num"], raw["den"])
     if set(raw) == {"rad"}:
-        if not isinstance(raw["rad"], (int, float)):
+        if type(raw["rad"]) not in (int, float):
             raise ZxgFormatError(f"{where}: rad must be a number")
         try:
             return Phase.approx(float(raw["rad"]))
@@ -84,8 +85,8 @@ def deserialize(text: str) -> Diagram:
         if not isinstance(node, dict) or "id" not in node or "kind" not in node:
             raise ZxgFormatError(f"{where}: need id and kind")
         nid, kind = node["id"], node["kind"]
-        if not isinstance(nid, str):
-            raise ZxgFormatError(f"{where}: id must be a string")
+        if not isinstance(nid, str) or not isinstance(kind, str):
+            raise ZxgFormatError(f"{where}: id and kind must be strings")
         if nid in ids:
             raise ZxgFormatError(f"{where}: duplicate id {nid!r}")
         if kind in SPIDER_KINDS:
@@ -102,7 +103,7 @@ def deserialize(text: str) -> Diagram:
         seen = set()
         for j, nid in enumerate(doc[name]):
             where = f"{name}[{j}]"
-            if nid not in ids:
+            if not isinstance(nid, str) or nid not in ids:
                 raise ZxgFormatError(f"{where}: unknown node id {nid!r}")
             if d.kind(ids[nid]) != kind:
                 raise ZxgFormatError(f"{where}: node {nid!r} is not of kind {kind!r}")
@@ -117,9 +118,10 @@ def deserialize(text: str) -> Diagram:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ZxgFormatError(f"{where}: edge must be a pair")
         u, v = pair
-        if u not in ids or v not in ids:
-            raise ZxgFormatError(f"{where}: unknown endpoint in {pair!r}")
-        d.add_edge(ids[u], ids[v])
+        try:  # a list endpoint is unhashable: TypeError
+            d.add_edge(ids[u], ids[v])
+        except (KeyError, TypeError):
+            raise ZxgFormatError(f"{where}: unknown endpoint in {pair!r}") from None
 
     try:
         d.validate()

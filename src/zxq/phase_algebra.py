@@ -169,7 +169,9 @@ def _triple(a: float, b: float, g: float) -> EulerTriple:
     return EulerTriple(Phase.approx(a), Phase.approx(b), Phase.approx(g))
 
 
-def _chain_params(alpha: float, beta: float, gamma: float) -> tuple[complex, complex]:
+def chain_parameters(t: EulerTriple) -> tuple[complex, complex]:
+    """The (z, z1) pair controlling the colour swap of a Z-X-Z chain."""
+    alpha, beta, gamma = t.radians
     z = complex(
         math.cos(beta / 2) * math.cos((alpha + gamma) / 2),
         math.sin(beta / 2) * math.cos((alpha - gamma) / 2),
@@ -181,19 +183,13 @@ def _chain_params(alpha: float, beta: float, gamma: float) -> tuple[complex, com
     return z, z1
 
 
-def chain_parameters(t: EulerTriple) -> tuple[complex, complex]:
-    """The (z, z1) pair controlling the colour swap of a Z-X-Z chain."""
-    alpha, beta, gamma = t.radians
-    return _chain_params(alpha, beta, gamma)
-
-
 def degenerate_case(t: EulerTriple) -> str | None:
     """Which degenerate path (if any) ``p_rule_angles`` takes: one of
     ``"beta1=0"``, ``"z1=0"``, ``"z=0"`` or None for the generic path."""
-    alpha, beta, gamma = t.radians
+    beta = t.beta.radians
     if min(beta, TWO_PI - beta) <= SINGULAR_EPS:
         return "beta1=0"
-    z, z1 = _chain_params(alpha, beta, gamma)
+    z, z1 = chain_parameters(t)
     if abs(z1) <= SINGULAR_EPS:
         return "z1=0"
     if abs(z) <= SINGULAR_EPS:
@@ -215,12 +211,12 @@ def p_rule_angles(t: EulerTriple) -> EulerTriple:
     return a canonical representative with the whole chain folded into
     as few rotations as possible (gamma2 = 0 whenever beta2 is 0 or pi).
     """
-    alpha, beta, gamma = t.radians
+    alpha, _, gamma = t.radians
     case = degenerate_case(t)
     if case == "beta1=0":
         # the chain collapses to a single diagonal rotation
         return euler_xzx_extract(z_phase_matrix(alpha + gamma))
-    z, z1 = _chain_params(alpha, beta, gamma)
+    z, z1 = chain_parameters(t)
     if case == "z1=0":
         return _triple(2 * cmath.phase(z), 0.0, 0.0)
     if case == "z=0":

@@ -1,25 +1,29 @@
 """Local rewrite rules on diagrams, with matching, traces and a simplifier.
 
-Every rule is a matcher/transform pair.  Matchers return the list of sites
-(vertex-id tuples) where the rule applies, in a deterministic order;
-transforms rewrite a diagram in place at one site and return ``None``.
-A transform checks its whole precondition before it mutates anything, so
-a :class:`RuleMatchError` leaves the diagram as it was.  Each
-:class:`RewriteRule` also carries ``apply``, the value-semantic form that
-rewrites a copy and returns it.  All registered rules are
+Each rule reading (orientation), forward or reverse, states its
+precondition once.  A candidate enumerator lists the sites (vertex-id
+tuples) of the right shape in a deterministic order: vertices, wires, a
+spider with one neighbour, vertex pairs or three-spider chains.  One
+predicate, ``matches(d, site)``, is the whole precondition.  ``find`` is
+the candidates the predicate accepts, in candidate order; ``rewrite``
+raises :class:`RuleMatchError` unless the predicate holds, so a rejected
+site leaves the diagram as it was, and then runs a transform that checks
+nothing itself and rewrites in place.  ``apply`` is the value-semantic
+form that rewrites a copy and returns it.  All registered rules are
 semantics-preserving up to a nonzero scalar; ``scalar_free`` marks the
 ones that preserve the matrix on the nose.
 
 The registry holds the fifteen named rules.  Rules whose right-to-left
-reading is canonical also carry a reverse matcher/transform; readings that
+reading is canonical also carry a reverse orientation; readings that
 would need extra parameters (unfusing a spider, un-copying states) are not
-registered as functions.
+registered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .diagram import Diagram, VertexKind, opposite
@@ -33,11 +37,6 @@ PI_HALF = Phase.exact(1, 2)
 
 class RuleMatchError(ValueError):
     """The given site does not satisfy the rule's precondition."""
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise RuleMatchError(msg)
 
 
 def _is_plain_spider(d: Diagram, v: int) -> bool:
@@ -55,18 +54,65 @@ def _legs(d: Diagram, v: int, skip: Optional[int] = None) -> list[int]:
     return [w for w in d.neighbors(v) if w != skip for _ in range(d.edge_mult(v, w))]
 
 
-def _edge_sites(d: Diagram, accept: Callable[[int, int, int], bool]) -> list[Site]:
-    """``(u, v)``, u < v, for each pair of adjacent vertices joined by
-    ``m`` wires with ``accept(u, v, m)``."""
-    return [(u, v) for u, v, m in d.edges() if u != v and accept(u, v, m)]
+# -- candidate sites: every site of the right shape, in a fixed order ------------
+
+
+def _vertices(d: Diagram) -> list[Site]:
+    return [(v,) for v in d.vertices()]
+
+
+def _spiders(d: Diagram) -> list[Site]:
+    return [(v,) for v in d.spiders()]
+
+
+def _wires(d: Diagram) -> list[Site]:
+    """``(u, v)``, u <= v, once per pair of adjacent vertices; a vertex
+    with a self-loop gives ``(v, v)``."""
+    return [(u, v) for u, v, _ in d.edges()]
+
+
+def _directed_wires(d: Diagram) -> list[Site]:
+    """Both orientations of each pair of adjacent distinct vertices."""
+    return [s for u, v, _ in d.edges() if u != v for s in ((u, v), (v, u))]
+
+
+def _leg_sites(d: Diagram) -> list[Site]:
+    """``(p, v)`` for each spider ``p`` and each distinct neighbour ``v``."""
+    return [(p, v) for p in d.spiders() for v in d.neighbors(p)]
+
+
+def _vertex_pairs(d: Diagram) -> list[Site]:
+    return list(combinations(d.vertices(), 2))
+
+
+def _chain_sites(d: Diagram) -> list[Site]:
+    """``(a, mid, b)`` for each spider ``mid`` with exactly two distinct
+    neighbours ``a < b``."""
+    out = []
+    for mid in d.spiders():
+        nbrs = d.neighbors(mid)
+        if len(nbrs) == 2:
+            out.append((nbrs[0], mid, nbrs[1]))
+    return out
 
 
 # -- spider fusion (S1) --------------------------------------------------------
 
 
-def find_fusable(d: Diagram) -> list[Site]:
-    return _edge_sites(
-        d, lambda u, v, m: d.is_spider(u) and d.is_spider(v) and d.kind(u) == d.kind(v)
+def _spider(d: Diagram, site: Site) -> bool:
+    (v,) = site
+    return _is_plain_spider(d, v)
+
+
+def _same_colour_pair(d: Diagram, site: Site) -> bool:
+    """Two distinct adjacent spiders of one colour."""
+    u, v = site
+    return (
+        u != v
+        and u in d
+        and d.edge_mult(u, v) >= 1
+        and d.kind(u) == d.kind(v)
+        and d.is_spider(u)
     )
 
 
@@ -77,12 +123,7 @@ def fuse_spiders(d: Diagram, site: Site) -> None:
     pair survive as self-loops on the merged spider.
     """
     u, v = site
-    _require(u != v, "cannot fuse a spider with itself")
-    _require(_is_plain_spider(d, u) and _is_plain_spider(d, v), "site must be two spiders")
-    _require(d.kind(u) == d.kind(v), "spider colours differ")
     m = d.edge_mult(u, v)
-    _require(m >= 1, "spiders are not adjacent")
-
     d.remove_edge(u, v, m)
     if m > 1:
         d.add_edge(u, u, m - 1)
@@ -101,7 +142,6 @@ def unfuse_trivial(d: Diagram, site: Site) -> None:
     """Reverse reading of fusion in its parameter-free form: sprout a
     connected zero-phase spider of the same colour."""
     (v,) = site
-    _require(_is_plain_spider(d, v), "site must be a spider")
     w = d.add_vertex(d.kind(v), Phase.zero())
     d.add_edge(v, w)
 
@@ -109,36 +149,35 @@ def unfuse_trivial(d: Diagram, site: Site) -> None:
 # -- identity removal (S2/S2') -------------------------------------------------
 
 
-def _is_identity(d: Diagram, v: int) -> bool:
-    """The spider ``v`` has phase zero and two plain legs to distinct vertices."""
+def _identity_spider(d: Diagram, site: Site) -> bool:
+    """A zero-phase spider with two plain legs to distinct vertices."""
+    (v,) = site
     return (
-        d.phase(v).is_zero
-        and d.degree(v) == 2
+        _is_plain_spider(d, v)
+        and d.phase(v).is_zero
         and d.self_loops(v) == 0
+        and d.degree(v) == 2
         and len(d.neighbors(v)) == 2
     )
-
-
-def find_identities(d: Diagram) -> list[Site]:
-    return [(v,) for v in d.spiders() if _is_identity(d, v)]
 
 
 def remove_identity(d: Diagram, site: Site) -> None:
     """Delete a zero-phase degree-2 spider, joining its two neighbours."""
     (v,) = site
-    _require(
-        _is_plain_spider(d, v) and _is_identity(d, v),
-        "site must be a zero-phase spider with two legs to distinct vertices",
-    )
     a, b = d.neighbors(v)
     d.remove_vertex(v)
     d.add_edge(a, b)
 
 
+def _wire(d: Diagram, site: Site) -> bool:
+    """Two adjacent vertices (a neighbour of a vertex of ``d`` is in ``d``)."""
+    u, v = site
+    return u in d and d.edge_mult(u, v) >= 1
+
+
 def insert_identity(d: Diagram, site: Site, kind: str) -> None:
     """Reverse reading of S2/S2': put a zero-phase spider of ``kind`` on a wire."""
     u, v = site
-    _require(d.edge_mult(u, v) >= 1, "no edge at site")
     d.remove_edge(u, v)
     n = d.add_vertex(kind, Phase.zero())
     d.add_edge(u, n)
@@ -149,15 +188,20 @@ insert_identity_z = partial(insert_identity, kind=VertexKind.Z)
 insert_identity_x = partial(insert_identity, kind=VertexKind.X)
 
 
-def find_wires(d: Diagram) -> list[Site]:
-    return [(u, v) for u, v, _ in d.edges()]
-
-
 # -- Hadamard cancellation (HH) ------------------------------------------------
 
 
-def find_hh(d: Diagram) -> list[Site]:
-    return _edge_sites(d, lambda u, v, m: d.kind(u) == d.kind(v) == VertexKind.H)
+def _hbox_pair(d: Diagram, site: Site) -> bool:
+    """Two distinct adjacent H-boxes of degree 2."""
+    h1, h2 = site
+    return (
+        h1 != h2
+        and h1 in d
+        and d.kind(h1) == VertexKind.H
+        and d.edge_mult(h1, h2) >= 1
+        and d.kind(h2) == VertexKind.H
+        and d.degree(h1) == d.degree(h2) == 2
+    )
 
 
 def eliminate_hh(d: Diagram, site: Site) -> None:
@@ -167,14 +211,7 @@ def eliminate_hh(d: Diagram, site: Site) -> None:
     it collapses to an isolated zero-phase spider carrying that scalar.
     """
     h1, h2 = site
-    _require(h1 != h2, "need two distinct H-boxes")
-    _require(
-        h1 in d and h2 in d and d.kind(h1) == VertexKind.H and d.kind(h2) == VertexKind.H,
-        "site must be two H-boxes",
-    )
     m = d.edge_mult(h1, h2)
-    _require(m >= 1, "H-boxes are not adjacent")
-    _require(d.degree(h1) == 2 and d.degree(h2) == 2, "H-boxes must have degree 2")
     outer = _legs(d, h1, h2) + _legs(d, h2, h1)
     d.remove_vertex(h1)
     d.remove_vertex(h2)
@@ -186,7 +223,6 @@ def eliminate_hh(d: Diagram, site: Site) -> None:
 
 def insert_hh(d: Diagram, site: Site) -> None:
     u, v = site
-    _require(d.edge_mult(u, v) >= 1, "no edge at site")
     d.remove_edge(u, v)
     g1 = d.add_vertex(VertexKind.H)
     g2 = d.add_vertex(VertexKind.H)
@@ -198,14 +234,9 @@ def insert_hh(d: Diagram, site: Site) -> None:
 # -- colour change (H2) --------------------------------------------------------
 
 
-def find_spiders(d: Diagram) -> list[Site]:
-    return [(v,) for v in d.spiders()]
-
-
 def color_change(d: Diagram, site: Site) -> None:
     """Flip a spider's colour and put an H-box on every leg."""
     (v,) = site
-    _require(_is_plain_spider(d, v), "site must be a spider")
     for w in _legs(d, v):
         d.remove_edge(v, w)
         h = d.add_vertex(VertexKind.H)
@@ -224,73 +255,75 @@ def color_change(d: Diagram, site: Site) -> None:
 # -- Hopf law (Hf) -------------------------------------------------------------
 
 
-def find_hopf(d: Diagram) -> list[Site]:
-    return _edge_sites(d, lambda u, v, m: m >= 2 and _complementary(d, u, v))
+def _hopf_pair(d: Diagram, site: Site) -> bool:
+    """Complementary spiders joined by at least two parallel wires."""
+    u, v = site
+    return u in d and d.edge_mult(u, v) >= 2 and _complementary(d, u, v)
+
+
+def _complementary_pair(d: Diagram, site: Site) -> bool:
+    u, v = site
+    return _complementary(d, u, v)
 
 
 def apply_hopf(d: Diagram, site: Site) -> None:
     """Delete two of the parallel wires between complementary spiders."""
-    u, v = site
-    _require(_complementary(d, u, v), "need two spiders of complementary colours")
-    _require(d.edge_mult(u, v) >= 2, "need at least two parallel edges")
-    d.remove_edge(u, v, 2)
+    d.remove_edge(*site, 2)
 
 
 def hopf_reverse(d: Diagram, site: Site) -> None:
-    u, v = site
-    _require(_complementary(d, u, v), "need two spiders of complementary colours")
-    d.add_edge(u, v, 2)
-
-
-def find_complementary_pairs(d: Diagram) -> list[Site]:
-    out = []
-    for u in d.spiders():
-        for v in d.spiders():
-            if u < v and d.kind(u) != d.kind(v):
-                out.append((u, v))
-    return out
+    d.add_edge(*site, 2)
 
 
 # -- trivial cycles (Cy) -------------------------------------------------------
 
 
-def find_loops(d: Diagram) -> list[Site]:
-    return [(v,) for v in d.spiders() if d.self_loops(v) >= 1]
+def _looped_spider(d: Diagram, site: Site) -> bool:
+    (v,) = site
+    return v in d and d.self_loops(v) >= 1 and d.is_spider(v)
 
 
 def apply_cycle(d: Diagram, site: Site) -> None:
     """Remove one plain self-loop from a spider (exact equality)."""
     (v,) = site
-    _require(_is_plain_spider(d, v), "site must be a spider")
-    _require(d.self_loops(v) >= 1, "spider has no self-loop")
     d.remove_edge(v, v)
 
 
 def add_loop(d: Diagram, site: Site) -> None:
     (v,) = site
-    _require(_is_plain_spider(d, v), "site must be a spider")
     d.add_edge(v, v)
 
 
-# -- points: copying (B1) and absorbing a pi point (Nv) --------------------------
+# -- points: copying (B1), absorbing a pi point (Nv); bialgebra (B2, B2v) --------
 
 
-def _find_points(d: Diagram) -> list[Site]:
-    """``(p, v)`` for each degree-1 spider ``p`` on a loop-free spider
-    ``v`` of the other colour."""
-    out = []
-    for p in d.spiders():
-        if d.degree(p) != 1:
-            continue
-        (v,) = d.neighbors(p)
-        if d.is_spider(v) and d.kind(v) == opposite(d.kind(p)) and d.self_loops(v) == 0:
-            out.append((p, v))
-    return out
+def _attached(d: Diagram, p: int, v: int) -> bool:
+    """Spiders of opposite colours joined by one wire, neither with a
+    self-loop."""
+    return (
+        _complementary(d, p, v)
+        and d.edge_mult(p, v) == 1
+        and d.self_loops(p) == d.self_loops(v) == 0
+    )
 
 
-def _copy_point(d: Diagram, p: int, v: int) -> None:
+def _zero_point(d: Diagram, site: Site) -> bool:
+    """A zero-phase point on a zero-phase spider of the other colour."""
+    s, v = site
+    return _attached(d, s, v) and d.degree(s) == 1 and d.phase(s).is_zero and d.phase(v).is_zero
+
+
+def _pi_point(d: Diagram, site: Site) -> bool:
+    """A pi point on a spider of the other colour."""
+    p, v = site
+    return _attached(d, p, v) and d.degree(p) == 1 and d.phase(p).is_pi
+
+
+def copy_point(d: Diagram, site: Site) -> None:
     """Remove the point ``p`` and the spider ``v``; a copy of ``p`` goes
-    on every other leg of ``v``."""
+    on every other leg of ``v``.  A zero point copies through a zero
+    spider; a pi point is absorbed (its phase goes into the scalar)."""
+    p, v = site
     kind, phase = d.kind(p), d.phase(p)
     legs = _legs(d, v, p)
     d.remove_vertex(p)
@@ -299,62 +332,38 @@ def _copy_point(d: Diagram, p: int, v: int) -> None:
         d.add_edge(d.add_vertex(kind, phase), w)
 
 
-def find_copy(d: Diagram) -> list[Site]:
-    return [(s, v) for s, v in _find_points(d) if d.phase(s).is_zero and d.phase(v).is_zero]
-
-
-def apply_copy(d: Diagram, site: Site) -> None:
-    """A zero-phase point of one colour copies through a zero-phase spider
-    of the other colour, one copy per remaining leg."""
-    s, v = site
-    _require(_is_plain_spider(d, s) and _is_plain_spider(d, v), "need two spiders")
-    _require(d.degree(s) == 1 and d.phase(s).is_zero, "copied state must be a zero point")
-    _require(d.edge_mult(s, v) == 1, "state must be attached to the spider")
-    _require(d.kind(v) == opposite(d.kind(s)) and d.phase(v).is_zero, "spider must be a zero spider of the other colour")
-    _require(d.self_loops(v) == 0, "spider must have no self-loops")
-    _copy_point(d, s, v)
-
-
-# -- bialgebra (B2 and its variable-arity form) --------------------------------
-
-
-def find_bialgebra_general(d: Diagram) -> list[Site]:
-    """``(z, x)`` for each zero-phase, loop-free complementary pair joined
-    by exactly one wire, Z spider first."""
-    sites = _edge_sites(
-        d,
-        lambda u, v, m: m == 1
-        and _complementary(d, u, v)
-        and all(d.phase(w).is_zero and d.self_loops(w) == 0 for w in (u, v)),
+def _bialgebra_pair(d: Diagram, site: Site) -> bool:
+    """``(z, x)``: a zero-phase Z spider and a zero-phase X spider joined
+    by one wire, neither with a self-loop."""
+    z, x = site
+    return (
+        _attached(d, z, x)
+        and d.kind(z) == VertexKind.Z
+        and d.phase(z).is_zero
+        and d.phase(x).is_zero
     )
-    return [(u, v) if d.kind(u) == VertexKind.Z else (v, u) for u, v in sites]
 
 
-def find_bialgebra(d: Diagram) -> list[Site]:
-    return [(z, x) for z, x in find_bialgebra_general(d) if d.degree(z) == 3 and d.degree(x) == 3]
+def _bialgebra_square(d: Diagram, site: Site) -> bool:
+    return _bialgebra_pair(d, site) and all(d.degree(v) == 3 for v in site)
 
 
-def apply_bialgebra_general(d: Diagram, site: Site) -> None:
-    """Variable-arity commutation law ("the dots"): a zero spider of each
-    colour joined by one wire unfolds into the complete bipartite graph
-    over fresh opposite-colour spiders."""
+def apply_bialgebra(d: Diagram, site: Site) -> None:
+    """The commutation law ("the dots"): the pair unfolds into the
+    complete bipartite graph over fresh spiders, the colours exchanged
+    side for side.  B2 is its degree-3 instance, a square."""
     zv, xv = site
-    _require(_complementary(d, zv, xv), "need two spiders of complementary colours")
-    _require(d.phase(zv).is_zero and d.phase(xv).is_zero, "both phases must be zero")
-    _require(d.edge_mult(zv, xv) == 1, "spiders must share exactly one wire")
-    _require(d.self_loops(zv) == 0 and d.self_loops(xv) == 0, "no self-loops allowed")
-    z_kind, x_kind = d.kind(zv), d.kind(xv)
     z_legs, x_legs = _legs(d, zv, xv), _legs(d, xv, zv)
     d.remove_vertex(zv)
     d.remove_vertex(xv)
     new_x = []
     for w in z_legs:
-        n = d.add_vertex(x_kind, Phase.zero())
+        n = d.add_vertex(VertexKind.X, Phase.zero())
         d.add_edge(n, w)
         new_x.append(n)
     new_z = []
     for w in x_legs:
-        n = d.add_vertex(z_kind, Phase.zero())
+        n = d.add_vertex(VertexKind.Z, Phase.zero())
         d.add_edge(n, w)
         new_z.append(n)
     for a in new_x:
@@ -362,56 +371,19 @@ def apply_bialgebra_general(d: Diagram, site: Site) -> None:
             d.add_edge(a, b)
 
 
-def apply_bialgebra(d: Diagram, site: Site) -> None:
-    """The degree-3 instance of the same law: the pair is replaced by a
-    complete bipartite square of fresh spiders with the colours exchanged
-    side for side."""
-    _require(all(v in d and d.degree(v) == 3 for v in site), "both spiders must have degree 3")
-    apply_bialgebra_general(d, site)
+# -- pi commutation (N) -----------------------------------------------------------
 
 
-# -- pi commutation (N) and its point form (Nv) ---------------------------------
-
-
-def find_pi(d: Diagram) -> list[Site]:
-    out = []
-    for p in d.spiders():
-        if not d.phase(p).is_pi or d.degree(p) != 2 or d.self_loops(p) != 0:
-            continue
-        for v in d.neighbors(p):
-            if (
-                d.is_spider(v)
-                and d.kind(v) == opposite(d.kind(p))
-                and d.edge_mult(p, v) == 1
-                and d.self_loops(v) == 0
-            ):
-                out.append((p, v))
-    return out
-
-
-def find_pi_state(d: Diagram) -> list[Site]:
-    return [(p, v) for p, v in _find_points(d) if d.phase(p).is_pi]
-
-
-def apply_pi(d: Diagram, site: Site) -> None:
-    """Push a pi phase of one colour through a spider of the other.
-
-    Degree-2 pi spider: it moves to every other leg of the spider and the
-    spider's phase is negated.  Degree-1 pi point: it is absorbed, leaving
-    a pi point on every other leg (the phase goes into the scalar).
-    """
+def _pi_spider(d: Diagram, site: Site) -> bool:
+    """A two-legged pi spider with one leg on a spider of the other colour."""
     p, v = site
-    _require(_is_plain_spider(d, p) and _is_plain_spider(d, v), "need two spiders")
-    _require(d.phase(p).is_pi, "moved spider must carry phase pi")
-    _require(d.kind(v) == opposite(d.kind(p)), "colours must be complementary")
-    _require(d.edge_mult(p, v) == 1, "pi spider must be attached by one wire")
-    _require(d.self_loops(v) == 0 and d.self_loops(p) == 0, "no self-loops allowed")
-    deg = d.degree(p)
-    _require(deg in (1, 2), "pi spider must have degree 1 or 2")
-    if deg == 1:
-        _copy_point(d, p, v)
-        return
+    return _attached(d, p, v) and d.degree(p) == 2 and d.phase(p).is_pi
 
+
+def push_pi(d: Diagram, site: Site) -> None:
+    """Push a pi spider of one colour through a spider of the other: it
+    moves to every other leg of the spider, whose phase is negated."""
+    p, v = site
     pi_kind = d.kind(p)
     (c,) = _legs(d, p, v)
     legs = _legs(d, v, p)
@@ -428,7 +400,7 @@ def apply_pi(d: Diagram, site: Site) -> None:
 # -- chains: Euler form of H (H1), colour-swap (P), quarter-turn chains (Hex) ---
 
 
-def _is_chain(d: Diagram, site: Site) -> bool:
+def _chain(d: Diagram, site: Site) -> bool:
     """Three distinct spiders with two plain legs each, alternating in
     colour and linked by single wires."""
     v1, v2, v3 = site
@@ -441,41 +413,30 @@ def _is_chain(d: Diagram, site: Site) -> bool:
     )
 
 
-def _find_chains(d: Diagram, accept) -> list[Site]:
-    out = []
-    for mid in d.spiders():
-        nbrs = d.neighbors(mid)
-        if len(nbrs) == 2:
-            site = (nbrs[0], mid, nbrs[1])
-            if _is_chain(d, site) and accept(*(d.phase(v) for v in site)):
-                out.append(site)
-    return out
-
-
-def _check_chain(d: Diagram, site: Site) -> None:
-    _require(_is_chain(d, site), "site must be a chain of three alternating two-legged spiders")
-
-
-def _quarter_turns(phases, nums=(1, 3)) -> bool:
+def _quarter_turns(d: Diagram, site: Site, nums=(1, 3)) -> bool:
     """All phases equal one exact n*pi/2 with n in ``nums``."""
-    return any(all(p.equals_exact(n, 2) for p in phases) for n in nums)
+    return any(all(d.phase(v).equals_exact(n, 2) for v in site) for n in nums)
 
 
-def find_euler_h(d: Diagram) -> list[Site]:
-    out = []
-    for h in d.vertices():
-        if d.kind(h) == VertexKind.H and len(d.neighbors(h)) == 2:
-            out.append((h,))
-    return out
+def _quarter_chain(d: Diagram, site: Site) -> bool:
+    return _chain(d, site) and _quarter_turns(d, site)
+
+
+def _h_chain(d: Diagram, site: Site) -> bool:
+    """A Z(pi/2) X(pi/2) Z(pi/2) chain."""
+    return _chain(d, site) and d.kind(site[0]) == VertexKind.Z and _quarter_turns(d, site, (1,))
+
+
+def _two_legged_hbox(d: Diagram, site: Site) -> bool:
+    """An H-box whose legs reach distinct vertices."""
+    (h,) = site
+    return h in d and d.kind(h) == VertexKind.H and len(d.neighbors(h)) == 2
 
 
 def apply_euler_h(d: Diagram, site: Site) -> None:
     """Expand an H-box into the quarter-turn chain Z(pi/2) X(pi/2) Z(pi/2)."""
     (h,) = site
-    _require(h in d and d.kind(h) == VertexKind.H, "site must be an H-box")
-    nbrs = d.neighbors(h)
-    _require(len(nbrs) == 2, "H-box legs must reach distinct vertices")
-    a, b = nbrs
+    a, b = d.neighbors(h)
     d.remove_vertex(h)
     s1 = d.add_vertex(VertexKind.Z, PI_HALF)
     s2 = d.add_vertex(VertexKind.X, PI_HALF)
@@ -486,18 +447,10 @@ def apply_euler_h(d: Diagram, site: Site) -> None:
     d.add_edge(s3, b)
 
 
-def find_h_chain(d: Diagram) -> list[Site]:
-    chains = _find_chains(d, lambda *ps: _quarter_turns(ps, (1,)))
-    return [s for s in chains if d.kind(s[0]) == VertexKind.Z]
-
-
 def apply_h_from_chain(d: Diagram, site: Site) -> None:
     """Contract a Z(pi/2) X(pi/2) Z(pi/2) chain back into one H-box; a
     chain closed into a triangle becomes an H-box on a self-loop."""
-    _check_chain(d, site)
     v1, v2, v3 = site
-    _require(_quarter_turns([d.phase(v) for v in site], (1,)), "chain phases must all be pi/2")
-    _require(d.kind(v1) == VertexKind.Z, "chain must be Z-X-Z")
     (a,) = _legs(d, v1, v2)
     (b,) = _legs(d, v3, v2)
     for v in site:
@@ -510,25 +463,12 @@ def apply_h_from_chain(d: Diagram, site: Site) -> None:
         d.add_edge(h, b)
 
 
-def find_hexagon(d: Diagram) -> list[Site]:
-    return _find_chains(d, lambda *ps: _quarter_turns(ps))
-
-
 def apply_hexagon(d: Diagram, site: Site) -> None:
     """Swap the colours of a quarter-turn chain: the two colour readings of
     Z(t) X(t) Z(t), t = +-pi/2, denote the same map (both are Hadamards up
     to phase)."""
-    _check_chain(d, site)
-    _require(
-        _quarter_turns([d.phase(v) for v in site]),
-        "chain phases must all be pi/2 or all be 3*pi/2",
-    )
     for v in site:
         d.set_kind(v, opposite(d.kind(v)))
-
-
-def find_p_chains(d: Diagram) -> list[Site]:
-    return _find_chains(d, lambda *_: True)
 
 
 def apply_p(d: Diagram, site: Site) -> None:
@@ -539,7 +479,6 @@ def apply_p(d: Diagram, site: Site) -> None:
     dually with the colours exchanged).  The new angles come from
     :func:`zxq.phase_algebra.p_rule_angles` and are radian-valued.
     """
-    _check_chain(d, site)
     v1, v2, v3 = site
     triple = EulerTriple(d.phase(v1), d.phase(v2), d.phase(v3))
     res = p_rule_angles(triple)
@@ -553,59 +492,95 @@ def apply_p(d: Diagram, site: Site) -> None:
 # -- registry -------------------------------------------------------------------
 
 
-def _copying(rewrite: Callable[[Diagram, Site], None]) -> Callable[[Diagram, Site], Diagram]:
-    """The value-semantic form of an in-place transform."""
+@dataclass(frozen=True)
+class Orientation:
+    """One reading of a rule, forward or reverse.
 
-    def apply(d: Diagram, site: Site) -> Diagram:
+    ``candidates`` lists every site of the right shape in a fixed order;
+    ``matches`` is the reading's whole precondition; ``transform``
+    rewrites in place at a site that matches and checks nothing itself.
+    """
+
+    candidates: Callable[[Diagram], list[Site]]
+    matches: Callable[[Diagram, Site], bool]
+    transform: Callable[[Diagram, Site], None]
+
+    def find(self, d: Diagram) -> list[Site]:
+        """The candidates that match, in candidate order."""
+        matches = self.matches
+        return [s for s in self.candidates(d) if matches(d, s)]
+
+    def rewrite(self, d: Diagram, site: Site) -> None:
+        """Rewrite ``d`` in place at ``site``; a site that does not match
+        raises :class:`RuleMatchError` and leaves ``d`` as it was."""
+        if not self.matches(d, site):
+            raise RuleMatchError(f"site {site} fails {self.matches.__name__}")
+        self.transform(d, site)
+
+    def apply(self, d: Diagram, site: Site) -> Diagram:
+        """The value-semantic form of :meth:`rewrite`: rewrite a copy."""
         out = d.copy()
-        rewrite(out, site)
+        self.rewrite(out, site)
         return out
-
-    return apply
 
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """A named rule: forward matcher/transform, optional canonical reverse.
+    """A named rule: its forward orientation and, where the right-to-left
+    reading is canonical, a reverse one.
 
-    ``rewrite``/``rewrite_reverse`` transform a diagram in place;
-    ``apply``/``apply_reverse`` default to their copying forms.
+    ``find``, ``rewrite`` and ``apply`` and their ``_reverse`` forms default
+    to the orientations' own; ``dataclasses.replace`` may swap any of them
+    for a wrapped or altered callable.
     """
 
     name: str
-    find: Callable[[Diagram], list[Site]]
-    rewrite: Callable[[Diagram, Site], None]
     scalar_free: bool
+    forward: Orientation
+    reverse: Optional[Orientation] = None
+    find: Optional[Callable[[Diagram], list[Site]]] = None
+    rewrite: Optional[Callable[[Diagram, Site], None]] = None
+    apply: Optional[Callable[[Diagram, Site], Diagram]] = None
     find_reverse: Optional[Callable[[Diagram], list[Site]]] = None
     rewrite_reverse: Optional[Callable[[Diagram, Site], None]] = None
-    apply: Optional[Callable[[Diagram, Site], Diagram]] = None
     apply_reverse: Optional[Callable[[Diagram, Site], Diagram]] = None
 
     def __post_init__(self) -> None:
-        if self.apply is None:
-            object.__setattr__(self, "apply", _copying(self.rewrite))
-        if self.apply_reverse is None and self.rewrite_reverse is not None:
-            object.__setattr__(self, "apply_reverse", _copying(self.rewrite_reverse))
+        for suffix, o in (("", self.forward), ("_reverse", self.reverse)):
+            for part in ("find", "rewrite", "apply"):
+                if o is not None and getattr(self, part + suffix) is None:
+                    object.__setattr__(self, part + suffix, getattr(o, part))
 
+
+_REMOVE_IDENTITY = Orientation(_spiders, _identity_spider, remove_identity)
+_COLOUR_CHANGE = Orientation(_spiders, _spider, color_change)
+_PUSH_PI = Orientation(_leg_sites, _pi_spider, push_pi)
+_SWAP_CHAIN = Orientation(_chain_sites, _chain, apply_p)
+_HEXAGON = Orientation(_chain_sites, _quarter_chain, apply_hexagon)
 
 RULES: dict[str, RewriteRule] = {
     r.name: r
     for r in (
-        RewriteRule("S1", find_fusable, fuse_spiders, True, find_spiders, unfuse_trivial),
-        RewriteRule("S2", find_identities, remove_identity, True, find_wires, insert_identity_z),
-        RewriteRule("S2'", find_identities, remove_identity, True, find_wires, insert_identity_x),
-        RewriteRule("B1", find_copy, apply_copy, False),
-        RewriteRule("B2", find_bialgebra, apply_bialgebra, False),
-        RewriteRule("B2v", find_bialgebra_general, apply_bialgebra_general, False),
-        RewriteRule("H1", find_euler_h, apply_euler_h, False, find_h_chain, apply_h_from_chain),
-        RewriteRule("H2", find_spiders, color_change, True, find_spiders, color_change),
-        RewriteRule("N", find_pi, apply_pi, False, find_pi, apply_pi),
-        RewriteRule("Nv", find_pi_state, apply_pi, False),
-        RewriteRule("P", find_p_chains, apply_p, False, find_p_chains, apply_p),
-        RewriteRule("Hf", find_hopf, apply_hopf, False, find_complementary_pairs, hopf_reverse),
-        RewriteRule("Hex", find_hexagon, apply_hexagon, True, find_hexagon, apply_hexagon),
-        RewriteRule("Cy", find_loops, apply_cycle, True, find_spiders, add_loop),
-        RewriteRule("HH", find_hh, eliminate_hh, True, find_wires, insert_hh),
+        RewriteRule("S1", True, Orientation(_wires, _same_colour_pair, fuse_spiders),
+                    Orientation(_spiders, _spider, unfuse_trivial)),
+        RewriteRule("S2", True, _REMOVE_IDENTITY, Orientation(_wires, _wire, insert_identity_z)),
+        RewriteRule("S2'", True, _REMOVE_IDENTITY, Orientation(_wires, _wire, insert_identity_x)),
+        RewriteRule("B1", False, Orientation(_leg_sites, _zero_point, copy_point)),
+        RewriteRule("B2", False, Orientation(_directed_wires, _bialgebra_square, apply_bialgebra)),
+        RewriteRule("B2v", False, Orientation(_directed_wires, _bialgebra_pair, apply_bialgebra)),
+        RewriteRule("H1", False, Orientation(_vertices, _two_legged_hbox, apply_euler_h),
+                    Orientation(_chain_sites, _h_chain, apply_h_from_chain)),
+        RewriteRule("H2", True, _COLOUR_CHANGE, _COLOUR_CHANGE),
+        RewriteRule("N", False, _PUSH_PI, _PUSH_PI),
+        RewriteRule("Nv", False, Orientation(_leg_sites, _pi_point, copy_point)),
+        RewriteRule("P", False, _SWAP_CHAIN, _SWAP_CHAIN),
+        RewriteRule("Hf", False, Orientation(_wires, _hopf_pair, apply_hopf),
+                    Orientation(_vertex_pairs, _complementary_pair, hopf_reverse)),
+        RewriteRule("Hex", True, _HEXAGON, _HEXAGON),
+        RewriteRule("Cy", True, Orientation(_spiders, _looped_spider, apply_cycle),
+                    Orientation(_spiders, _spider, add_loop)),
+        RewriteRule("HH", True, Orientation(_wires, _hbox_pair, eliminate_hh),
+                    Orientation(_wires, _wire, insert_hh)),
     )
 }
 
@@ -618,20 +593,18 @@ OPTIONAL_SEQUENCE = ("H2", "P")
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Knobs for :func:`simplify`."""
+    """Knobs for :func:`simplify`: the step budget, and whether the
+    speculative colour-change and chain-swap passes run (``full``)."""
 
     step_budget: int = 10_000
-    enabled_rules: frozenset = frozenset(CORE_SEQUENCE)
+    full: bool = False
 
     def __post_init__(self) -> None:
         if self.step_budget <= 0:
             raise ValueError("step budget must be positive")
-        unknown = set(self.enabled_rules) - set(RULES)
-        if unknown:
-            raise ValueError(f"unknown rules: {sorted(unknown)}")
 
 
-FULL_STRATEGY = StrategyConfig(enabled_rules=frozenset(CORE_SEQUENCE + OPTIONAL_SEQUENCE))
+FULL_STRATEGY = StrategyConfig(full=True)
 
 
 @dataclass(frozen=True)
@@ -698,8 +671,8 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
 
     The core pass applies fusion, identity removal, HH-cancellation, the
     Hopf law and loop removal to a fixpoint; every core step strictly
-    decreases :func:`diagram_cost`, so it terminates.  When colour-change
-    or chain-swap passes are enabled, each candidate move is applied
+    decreases :func:`diagram_cost`, so it terminates.  With ``full`` set,
+    each colour-change and chain-swap candidate move is then applied
     speculatively, followed by a core fixpoint, and kept only if the cost
     strictly decreased (a plateau move is rejected so the loop cannot
     cycle).  The step budget bounds the total number of attempted
@@ -718,8 +691,6 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
 
     def first_core_match(g: Diagram):
         for name in CORE_SEQUENCE:
-            if name not in cfg.enabled_rules:
-                continue
             sites = RULES[name].find(g)
             if sites:
                 return RULES[name], sites[0]
@@ -741,7 +712,7 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
 
     run_core(cur, steps)
 
-    optional = [n for n in OPTIONAL_SEQUENCE if n in cfg.enabled_rules]
+    optional = OPTIONAL_SEQUENCE if cfg.full else ()
     while optional and not truncated:
         base = diagram_cost(cur)
         accepted = False

@@ -199,6 +199,13 @@ def test_usage_errors_exit_two(files, capsys):
     bad = files / "bad.zxc"
     bad.write_text("qubits 2\ncnot 0 0\n")
     assert cli_main(["eval", str(bad)]) == 2
+    capsys.readouterr()
+    list_endpoint = files / "bad.zxg"
+    list_endpoint.write_text(
+        '{"inputs": [], "outputs": [], "nodes": [{"id": "a", "kind": "Z"}], "edges": [[["a"], "a"]]}'
+    )
+    assert cli_main(["eval", str(list_endpoint)]) == 2
+    assert "edges[0]: unknown endpoint" in capsys.readouterr().err
 
 
 def test_eval_resource_cap(files, capsys):

@@ -85,6 +85,15 @@ def test_malformed_json_reports_position():
         (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": float("inf")}), "finite"),
         (lambda doc: doc.pop("edges"), "missing or non-list"),
         (lambda doc: doc["inputs"].append("s"), "not of kind"),
+        (lambda doc: doc["edges"].append([["a"], "a"]), r"edges\[2\]: unknown endpoint"),
+        (lambda doc: doc["outputs"].append(["b"]), r"outputs\[1\]: unknown node id"),
+        (lambda doc: doc["nodes"].append({"id": "q", "kind": ["Z"]}), r"nodes\[3\]: id and kind"),
+        (lambda doc: doc["nodes"].append({"id": ["q"], "kind": "Z"}), r"nodes\[3\]: id and kind"),
+        (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": True}), r"nodes\[2\]: rad must"),
+        (
+            lambda doc: doc["nodes"][2].__setitem__("phase", {"num": 1, "den": True}),
+            r"nodes\[2\]: num/den must",
+        ),
     ],
 )
 def test_schema_errors(mutate, match):

@@ -421,8 +421,6 @@ def test_trace_export_format():
 def test_strategy_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(step_budget=0)
-    with pytest.raises(ValueError):
-        StrategyConfig(enabled_rules=frozenset({"nope"}))
 
 
 def test_core_sequence_is_registered():
@@ -559,6 +557,38 @@ def test_rule_match_error_leaves_diagram_unchanged():
                 rejected[name] += 1
                 assert _state(g) == want, (name, s)
     assert all(rejected.values()), rejected
+
+
+def test_rewrite_accepts_exactly_the_sites_find_lists():
+    """Every orientation's ``rewrite`` accepts each site its ``find``
+    lists and rejects every other vertex tuple of that arity, up to
+    reversal (a reversed pair or chain is the same site for the symmetric
+    rules)."""
+    import itertools
+    import random
+
+    from zxq.harness import RULE_SAMPLERS
+
+    rng = random.Random(17)
+    pool = []
+    for name in sorted(RULE_SAMPLERS):
+        for _ in range(2):
+            d, site = RULE_SAMPLERS[name](rng)
+            pool += [d, RULES[name].apply(d, site)]  # the result holds H1's reverse site
+    for name, find, rewrite, _ in _orientations():
+        listed = [find(d) for d in pool]
+        arity = len(next(sites for sites in listed if sites)[0])
+        for d, sites in zip(pool, listed):
+            allowed = set(sites) | {s[::-1] for s in sites}
+            tuples = itertools.islice(itertools.permutations(d.vertices(), arity), 300)
+            for s in itertools.chain(sites, tuples):
+                g = d.copy()
+                try:
+                    rewrite(g, s)
+                except RuleMatchError:
+                    assert s not in sites, (name, s)
+                else:
+                    assert s in allowed, (name, s)
 
 
 def test_h_chain_closed_into_triangle_becomes_looped_h_box():
