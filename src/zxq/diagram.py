@@ -14,6 +14,7 @@ exclusively held instance.  There is no shared global state.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from collections import Counter
 from typing import Iterator, NamedTuple
 
@@ -61,7 +62,7 @@ def opposite(kind: str) -> str:
 class Diagram:
     """Mutable open multigraph; see the module docstring."""
 
-    __slots__ = ("_kinds", "_phases", "_adj", "_inputs", "_outputs", "_next_id")
+    __slots__ = ("_kinds", "_phases", "_adj", "_inputs", "_outputs", "_next_id", "_touched", "_wl")
 
     def __init__(self) -> None:
         self._kinds: dict[int, str] = {}
@@ -70,6 +71,11 @@ class Diagram:
         self._inputs: list[int] = []
         self._outputs: list[int] = []
         self._next_id = 0
+        # the touched-vertex log: None until a reader switches it on, then
+        # the ids every mutator changed since the reader last took it
+        self._touched: set[int] | None = None
+        # digest()'s per-round WL labels, kept up to date from the log
+        self._wl: _WLCache | None = None
 
     # -- vertices ----------------------------------------------------------
 
@@ -87,6 +93,8 @@ class Diagram:
         self._adj[v] = Counter()
         if phase is not None:
             self._phases[v] = phase
+        if self._touched is not None:
+            self._touched.add(v)
         return v
 
     def add_input(self) -> int:
@@ -103,6 +111,9 @@ class Diagram:
         for w in list(self._adj[v]):
             if w != v:
                 del self._adj[w][v]
+        if self._touched is not None:
+            self._touched.update(self._adj[v])
+            self._touched.add(v)
         del self._adj[v]
         del self._kinds[v]
         self._phases.pop(v, None)
@@ -118,6 +129,8 @@ class Diagram:
         if kind not in SPIDER_KINDS or self._kinds[v] not in SPIDER_KINDS:
             raise InvalidDiagramError("set_kind only swaps spider colours")
         self._kinds[v] = kind
+        if self._touched is not None:
+            self._touched.add(v)
 
     def phase(self, v: int) -> Phase:
         return self._phases[v]
@@ -126,6 +139,8 @@ class Diagram:
         if self._kinds[v] not in SPIDER_KINDS:
             raise InvalidDiagramError("only spiders carry phases")
         self._phases[v] = phase
+        if self._touched is not None:
+            self._touched.add(v)
 
     def is_spider(self, v: int) -> bool:
         return self._kinds[v] in SPIDER_KINDS
@@ -142,6 +157,21 @@ class Diagram:
     def __contains__(self, v: int) -> bool:
         return v in self._kinds
 
+    def take_touched(self) -> set[int]:
+        """The ids the mutators changed since the last call.
+
+        That is every added or removed vertex, the neighbours a removal
+        detached, every recoloured or rephased spider and both ends of
+        every added or removed wire.  The first call switches the log on
+        and returns an empty set; :meth:`copy` never carries it.  The log
+        has one reader at a time, and :meth:`digest` reads it too, so
+        taking it drops the digest's cache.
+        """
+        touched = self._touched if self._touched is not None else set()
+        self._touched = set()
+        self._wl = None
+        return touched
+
     # -- edges -------------------------------------------------------------
 
     def add_edge(self, u: int, v: int, count: int = 1) -> None:
@@ -152,6 +182,8 @@ class Diagram:
         self._adj[u][v] += count
         if u != v:
             self._adj[v][u] += count
+        if self._touched is not None:
+            self._touched.update((u, v))
 
     def remove_edge(self, u: int, v: int, count: int = 1) -> None:
         if self._adj[u][v] < count:
@@ -163,6 +195,8 @@ class Diagram:
             self._adj[v][u] -= count
             if self._adj[v][u] == 0:
                 del self._adj[v][u]
+        if self._touched is not None:
+            self._touched.update((u, v))
 
     def edge_mult(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v (loops if u == v)."""
@@ -363,11 +397,17 @@ class Diagram:
     def _tags(self) -> dict[int, tuple]:
         """Relabelling-invariant vertex tags: ``(port kind, position)``,
         ``("H",)`` or ``(spider kind, phase)``."""
-        tags: dict[int, tuple] = {
-            v: ("H",) if kind == VertexKind.H else (kind, self._phases.get(v))
-            for v, kind in self._kinds.items()
-        }
-        tags.update((v, ("in", i)) for i, v in enumerate(self._inputs))
+        tags = {v: self._kind_tag(v) for v in self._kinds}
+        tags.update(self._port_tags())
+        return tags
+
+    def _kind_tag(self, v: int) -> tuple:
+        """The tag of ``v`` if it held no port."""
+        kind = self._kinds[v]
+        return ("H",) if kind == VertexKind.H else (kind, self._phases.get(v))
+
+    def _port_tags(self) -> dict[int, tuple]:
+        tags: dict[int, tuple] = {v: ("in", i) for i, v in enumerate(self._inputs)}
         tags.update((v, ("out", i)) for i, v in enumerate(self._outputs))
         return tags
 
@@ -403,23 +443,138 @@ class Diagram:
         the sorted label counts of every round are hashed together.  It
         equals ``nx.weisfeiler_lehman_graph_hash(self._to_networkx(),
         edge_attr="mult", node_attr="wl", iterations=4)[:8]``.
+
+        The diagram keeps each round's labels and label counts between
+        calls, and the first call switches the touched-vertex log on (see
+        :meth:`take_touched`).  A later call relabels only the logged
+        vertices at round 1, widened by one hop per round from the labels
+        that changed, so the value is the same as labelling everything
+        again.  A change to the port lists does label everything again.
         """
-        labels = {v: _wl_token(tag) for v, tag in self._tags().items()}
-        legs = [(v, [(str(m), w) for w, m in c.items()]) for v, c in self._adj.items()]
-        counts: list = []
-        for _ in range(4):
-            labels = {
-                v: _wl_hash(labels[v] + "".join(sorted([m + labels[w] for m, w in ws])))
-                for v, ws in legs
-            }
-            counts.extend(sorted(Counter(labels.values()).items()))
-        return _wl_hash(str(tuple(counts)))[:8]
+        ports = (tuple(self._inputs), tuple(self._outputs))
+        wl = self._wl
+        if wl is None or wl.ports != ports:
+            wl = self._wl = _WLCache(ports, self._port_tags())
+            dirty = set(self._kinds)
+        else:
+            dirty = self._touched
+        self._touched = set()
+        wl.relabel(self, dirty)
+        return wl.digest()
 
     def __repr__(self) -> str:
         return (
             f"<Diagram {self.n_inputs}->{self.n_outputs}, "
             f"{self.spider_count} spiders, {self.hbox_count} H, {self.n_edges} edges>"
         )
+
+
+#: rounds of the Weisfeiler-Lehman relabelling behind Diagram.digest
+WL_ROUNDS = 4
+
+
+class _WLCache:
+    """The Weisfeiler-Lehman labels of one diagram, round by round.
+
+    ``labels[0]`` holds the vertex tokens and ``labels[r]`` the labels of
+    round r.  For rounds 1 to 4, ``counts`` maps each label to how many
+    vertices carry it, and ``pieces`` is the sorted list of each label's
+    ``repr`` piece of the digest's input, ``('<label>', <count>)``.
+    """
+
+    __slots__ = ("ports", "port_tags", "labels", "counts", "pieces")
+
+    def __init__(self, ports: tuple, port_tags: dict[int, tuple]) -> None:
+        self.ports = ports
+        self.port_tags = port_tags
+        self.labels: list[dict[int, str]] = [{} for _ in range(WL_ROUNDS + 1)]
+        self.counts: list[dict[str, int]] = [{} for _ in range(WL_ROUNDS)]
+        self.pieces: list[list[str]] = [[] for _ in range(WL_ROUNDS)]
+
+    def relabel(self, d: Diagram, touched: set[int]) -> None:
+        """Bring every round up to date after the vertices in ``touched``
+        changed.  A vertex is relabelled at round r when it is touched, or
+        when it or a neighbour got a new label at round r - 1."""
+        adj = d._adj
+        prev = self.labels[0]
+        changed = set()
+        for v in touched:
+            if v in adj:
+                token = _wl_token(self.port_tags.get(v) or d._kind_tag(v))
+                if prev.get(v) != token:
+                    prev[v] = token
+                    changed.add(v)
+            elif prev.pop(v, None) is not None:
+                changed.add(v)
+        for labels, counts, pieces in zip(self.labels[1:], self.counts, self.pieces):
+            dirty = touched | changed
+            for v in changed:
+                if v in adj:
+                    dirty.update(adj[v])
+            changed = set()
+            gained, lost = [], []
+            for v in dirty:
+                old = labels.get(v)
+                if v in adj:
+                    legs = sorted([str(m) + prev[w] for w, m in adj[v].items()])
+                    new = _wl_hash(prev[v] + "".join(legs))
+                    if new == old:
+                        continue
+                    labels[v] = new
+                    gained.append(new)
+                elif old is None:
+                    continue
+                else:
+                    del labels[v]
+                if old is not None:
+                    lost.append(old)
+                changed.add(v)
+            _recount(counts, pieces, gained, lost)
+            prev = labels
+
+    def digest(self) -> str:
+        """The hash of ``str(tuple(counts))``, where counts are the sorted
+        ``(label, count)`` pairs of rounds 1 to 4.  Labels are unique per
+        round and of one length, so the pieces sort as the pairs do.  A
+        nonempty diagram has at least four pairs, so the tuple never takes
+        the one-element form ``(x,)``.  The rounds are hashed one at a
+        time, so only one round's text is built at once."""
+        h = hashlib.blake2b(b"(", digest_size=16)
+        sep = b""
+        for pieces in self.pieces:
+            if pieces:
+                h.update(sep)
+                h.update(", ".join(pieces).encode("ascii"))
+                sep = b", "
+        h.update(b")")
+        return h.hexdigest()[:8]
+
+
+def _recount(counts: dict[str, int], pieces: list[str], gained: list[str], lost: list[str]) -> None:
+    """Count one round's ``gained`` labels in and its ``lost`` ones out,
+    keeping ``pieces`` sorted: one sort when the round had no labels yet,
+    else a bisection per label whose count changed."""
+    before: dict[str, int] = {}
+    for label in gained:
+        n = counts.get(label, 0)
+        before.setdefault(label, n)
+        counts[label] = n + 1
+    for label in lost:
+        n = counts[label]
+        before.setdefault(label, n)
+        counts[label] = n - 1
+    if not pieces:
+        pieces.extend(sorted([f"('{label}', {n})" for label, n in counts.items()]))
+        return
+    for label, n in before.items():
+        m = counts[label]
+        if m != n:
+            if n:
+                del pieces[bisect_left(pieces, f"('{label}', {n})")]
+            if m:
+                insort(pieces, f"('{label}', {m})")
+            else:
+                del counts[label]
 
 
 def _wl_hash(label: str) -> str:

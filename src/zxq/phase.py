@@ -89,16 +89,23 @@ class Phase:
         return self.frac is not None and 4 % self.frac.denominator == 0
 
     def equals_exact(self, num: int, den: int = 1) -> bool:
-        """True iff this is the exact phase (num/den) * pi."""
-        return self.frac is not None and self.frac == Fraction(num, den) % 2
+        """True iff this is the exact phase (num/den) * pi.
+
+        ``frac`` = p/q is already reduced mod 2, so this asks whether
+        p/q - num/den is an even integer, in integers only.
+        """
+        if self.frac is None:
+            return False
+        p, q = self.frac.numerator, self.frac.denominator
+        return (p * den - num * q) % (2 * q * den) == 0
 
     @property
     def is_zero(self) -> bool:
-        return self.equals_exact(0)
+        return self.frac is not None and self.frac == 0
 
     @property
     def is_pi(self) -> bool:
-        return self.equals_exact(1)
+        return self.frac is not None and self.frac == 1
 
     def __add__(self, other: "Phase") -> "Phase":
         if self.frac is not None and other.frac is not None:

@@ -13,6 +13,12 @@ form that rewrites a copy and returns it.  All registered rules are
 semantics-preserving up to a nonzero scalar; ``scalar_free`` marks the
 ones that preserve the matrix on the nose.
 
+:func:`simplify` runs the core rules to a fixpoint without rescanning
+the diagram for each step: one heap per core rule holds the sites where
+it matches, and after each rewrite only the sites around the vertices in
+the diagram's touched-vertex log are checked again.  It takes the same
+steps, in the same order, as a rescan of every rule's ``find`` would.
+
 The registry holds the fifteen named rules.  Rules whose right-to-left
 reading is canonical also carry a reverse orientation; readings that
 would need extra parameters (unfusing a spider, un-copying states) are not
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -83,6 +90,22 @@ def _leg_sites(d: Diagram) -> list[Site]:
 
 def _vertex_pairs(d: Diagram) -> list[Site]:
     return list(combinations(d.vertices(), 2))
+
+
+def _spiders_at(d: Diagram, vs) -> set[Site]:
+    """The :func:`_spiders` sites on the vertices ``vs``."""
+    return {(v,) for v in vs if v in d and d.is_spider(v)}
+
+
+def _wires_at(d: Diagram, vs) -> set[Site]:
+    """The :func:`_wires` sites that hold a vertex of ``vs``."""
+    sites = set()
+    for v in vs:
+        if v in d:
+            sites.update((v, w) if v < w else (w, v) for w in d.neighbors(v))
+            if d.self_loops(v):
+                sites.add((v, v))
+    return sites
 
 
 def _chain_sites(d: Diagram) -> list[Site]:
@@ -620,6 +643,8 @@ class RewriteTrace:
 
     No digest is taken while rewriting: :meth:`digests` replays the steps
     once, when an export first needs them, and keeps only the digests.
+    The replay rewrites one working copy, whose digest relabels only what
+    each step touched.
     """
 
     initial: Diagram
@@ -661,6 +686,53 @@ class RewriteTrace:
         return g
 
 
+class _CoreWorklist:
+    """The sites where the core rules match on one diagram, one heap per
+    rule of :data:`CORE_SEQUENCE`.
+
+    A heap starts as its rule's ``find`` list, which is sorted, so it pops
+    sites in the order ``find`` lists them.  A core predicate reads only
+    its site's vertices and the wires between them, and every change to
+    those is in the diagram's touched-vertex log.  So after a rewrite it
+    is enough to push the sites that hold a touched vertex and match now:
+    each heap still holds every site where its rule matches, plus stale
+    sites, which are dropped when they reach the top.  The first match is
+    then the one a rescan of every rule's ``find`` would return.
+    """
+
+    _LOCAL = {_spiders: _spiders_at, _wires: _wires_at}
+
+    def __init__(self, d: Diagram) -> None:
+        self.d = d
+        self.rules = [RULES[name] for name in CORE_SEQUENCE]
+        d.take_touched()
+        self.heaps = [rule.forward.find(d) for rule in self.rules]
+
+    def _push(self, vs) -> None:
+        d = self.d
+        local: dict = {}
+        for rule, heap in zip(self.rules, self.heaps):
+            candidates, matches = rule.forward.candidates, rule.forward.matches
+            if candidates not in local:
+                local[candidates] = self._LOCAL[candidates](d, vs)
+            for site in local[candidates]:
+                if matches(d, site):
+                    heappush(heap, site)
+
+    def first_match(self) -> Optional[tuple[RewriteRule, Site]]:
+        """The first rule in :data:`CORE_SEQUENCE` that matches and its
+        first site, or None."""
+        d = self.d
+        self._push(d.take_touched())
+        for rule, heap in zip(self.rules, self.heaps):
+            matches = rule.forward.matches
+            while heap and not matches(d, heap[0]):
+                heappop(heap)
+            if heap:
+                return rule, heap[0]
+        return None
+
+
 def diagram_cost(d: Diagram) -> tuple[int, int, int]:
     """Lexicographic cost: spiders, then wires, then H-boxes."""
     return (d.spider_count, d.n_edges, d.hbox_count)
@@ -681,6 +753,10 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
 
     The core pass rewrites one working diagram in place; only each
     speculative move works on a copy, which a rejected move discards.
+    It does not rescan the diagram for each step: a worklist of core
+    sites, fed from the diagram's touched-vertex log, gives the first
+    match of the first core rule that has one, the step a rescan of every
+    rule's ``find`` would take.
     """
     cfg = config if config is not None else StrategyConfig()
     initial = d.copy()
@@ -689,17 +765,11 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
     budget = cfg.step_budget
     truncated = False
 
-    def first_core_match(g: Diagram):
-        for name in CORE_SEQUENCE:
-            sites = RULES[name].find(g)
-            if sites:
-                return RULES[name], sites[0]
-        return None
-
     def run_core(g: Diagram, acc: list) -> None:
         nonlocal budget, truncated
+        work = _CoreWorklist(g)
         while True:
-            m = first_core_match(g)
+            m = work.first_match()
             if m is None:
                 return
             if budget <= 0:
@@ -736,6 +806,6 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
         if not accepted:
             break
 
-    if budget <= 0 and first_core_match(cur) is not None:
+    if budget <= 0 and _CoreWorklist(cur).first_match() is not None:
         truncated = True
     return cur, RewriteTrace(initial, steps, cur.copy(), truncated)

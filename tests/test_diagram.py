@@ -290,3 +290,101 @@ def test_digest_matches_networkx_on_circuits_and_rule_results():
 @given(small_diagrams())
 def test_digest_matches_networkx_on_random_diagrams(d):
     assert d.digest() == nx_digest(d)
+
+
+# -- incremental digest: the same value as labelling afresh --------------------------
+
+
+def fresh_digest(d: Diagram) -> str:
+    """A copy carries no labels, so its digest labels every vertex afresh."""
+    return d.copy().digest()
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_incremental_digest_equals_a_fresh_one_along_traces(full):
+    import random
+
+    from zxq.circuits import circuit_to_diagram
+    from zxq.harness import random_clifford_t_circuit
+    from zxq.rewrite import FULL_STRATEGY, StrategyConfig, simplify
+
+    states = 0
+    for seed, width in enumerate((2, 3, 4, 5, 6) * 2):
+        rng = random.Random(seed)
+        d = circuit_to_diagram(random_clifford_t_circuit(rng, width, 40 + 8 * seed))
+        _, trace = simplify(d, FULL_STRATEGY if full else StrategyConfig())
+        stride = 1 + seed % 3  # several rewrites may come between two digests
+        for i, g in enumerate(trace._states()):
+            if i % stride == 0:
+                assert g.digest() == fresh_digest(g), (seed, i)
+                states += 1
+        assert g.digest() == fresh_digest(g) == nx_digest(g)
+    assert states > 100
+
+
+def test_incremental_digest_after_every_orientation():
+    import random
+
+    from zxq.harness import RULE_SAMPLERS
+    from zxq.rewrite import RULES
+
+    rng = random.Random(29)
+    checked = 0
+    for name, rule in sorted(RULES.items()):
+        for o in (rule.forward, rule.reverse):
+            if o is None:
+                continue
+            for _ in range(4):
+                d, _ = RULE_SAMPLERS[name](rng)
+                for site in o.find(d)[:3]:
+                    g = d.copy()
+                    g.digest()
+                    o.rewrite(g, site)
+                    assert g.digest() == fresh_digest(g), (name, site)
+                    checked += 1
+    assert checked > 100
+
+
+def test_incremental_digest_follows_every_mutator():
+    d = spider_diagram(VertexKind.Z, Phase.exact(1, 4), 2, 2)
+    (s,) = d.spiders()
+    x = d.add_vertex(VertexKind.X)
+    d.add_edge(s, x)
+    d.digest()
+    edits = [
+        lambda: d.set_phase(s, Phase.approx(0.25)),
+        lambda: d.set_kind(x, VertexKind.Z),
+        lambda: d.add_edge(s, x, 2),
+        lambda: d.remove_edge(s, x),
+        lambda: d.add_edge(x, x),
+        lambda: d.add_edge(x, d.add_vertex(VertexKind.H)),
+        lambda: d.add_edge(d.add_input(), x),
+        lambda: d.add_edge(x, d.add_output()),
+        lambda: d.remove_vertex(d.inputs[0]),
+        lambda: d.remove_vertex(d.outputs[-1]),
+        lambda: d.remove_vertex(s),
+        lambda: d.add_vertex(VertexKind.X, Phase.pi()),
+    ]
+    for i, edit in enumerate(edits):
+        edit()
+        assert d.digest() == fresh_digest(d) == nx_digest(d), i
+
+
+def test_touched_log_and_digest_cache_stay_with_their_diagram():
+    d = identity_diagram(2)
+    assert d.take_touched() == set()  # the first call switches the log on
+    z = d.add_vertex(VertexKind.Z)
+    d.add_edge(z, d.inputs[0])
+    assert d.take_touched() == {z, d.inputs[0]}
+    i, o = d.inputs[1], d.outputs[1]
+    d.remove_vertex(o)
+    assert d.take_touched() == {o, i}  # the output and the input it was wired to
+
+    d.digest()
+    assert d._wl is not None and d._touched == set()
+    g = d.copy()
+    assert g._wl is None and g._touched is None
+    d.set_phase(z, Phase.pi())
+    d.take_touched()  # the digest cannot see what another reader took
+    assert d._wl is None
+    assert d.digest() == fresh_digest(d) == nx_digest(d)

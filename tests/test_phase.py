@@ -70,6 +70,18 @@ def test_clifford_t_membership():
     assert not Phase.approx(math.pi / 4).is_clifford_t
 
 
+def test_exact_checks_agree_with_the_fraction_definition():
+    nums, dens = range(-16, 17), range(1, 9)
+    queries = [(n, d) for n in nums for d in dens] + [(1, -2), (-3, -4)]
+    radians = [Phase.approx(r) for r in (0.0, math.pi, math.pi / 2, -math.pi, 1e-15, 5.0)]
+    for p in [Phase.exact(n, d) for n in nums for d in dens] + radians:
+        exact = p.frac is not None
+        assert p.is_zero == (exact and p.frac == Fraction(0) % 2)
+        assert p.is_pi == (exact and p.frac == Fraction(1) % 2)
+        for n, d in queries:
+            assert p.equals_exact(n, d) == (exact and p.frac == Fraction(n, d) % 2), (p, n, d)
+
+
 def test_exactly_one_representation():
     with pytest.raises(ValueError):
         Phase(frac=Fraction(1, 2), rad=0.3)

@@ -10,7 +10,10 @@ from zxq.phase import Phase
 from zxq.rewrite import (
     CORE_SEQUENCE,
     FULL_STRATEGY,
+    OPTIONAL_SEQUENCE,
     RULES,
+    RewriteStep,
+    RewriteTrace,
     RuleMatchError,
     StrategyConfig,
     diagram_cost,
@@ -625,3 +628,123 @@ def test_core_simplify_copies_a_constant_number_of_times(monkeypatch):
         assert len(calls) == copies[-1] + 2  # one working copy per replay
     assert steps == [6, 59]
     assert copies[0] == copies[1]
+
+
+# -- the core worklist against the rescan it replaced --------------------------------
+
+
+def _reference_simplify(d, config=None):
+    """The rescan loop ``simplify`` ran before its core worklist: every core
+    step builds each rule's whole ``find`` list and takes its first site."""
+    cfg = config if config is not None else StrategyConfig()
+    initial = d.copy()
+    cur = d.copy()
+    steps = []
+    budget = cfg.step_budget
+    truncated = False
+
+    def first_core_match(g):
+        for name in CORE_SEQUENCE:
+            sites = RULES[name].find(g)
+            if sites:
+                return RULES[name], sites[0]
+        return None
+
+    def run_core(g, acc):
+        nonlocal budget, truncated
+        while True:
+            m = first_core_match(g)
+            if m is None:
+                return
+            if budget <= 0:
+                truncated = True
+                return
+            rule, site = m
+            rule.rewrite(g, site)
+            acc.append(RewriteStep(rule.name, site, rule.scalar_free))
+            budget -= 1
+
+    run_core(cur, steps)
+
+    optional = OPTIONAL_SEQUENCE if cfg.full else ()
+    while optional and not truncated:
+        base = diagram_cost(cur)
+        accepted = False
+        for name in optional:
+            rule = RULES[name]
+            for site in rule.find(cur):
+                if budget <= 0:
+                    truncated = True
+                    break
+                budget -= 1
+                trial = rule.apply(cur, site)
+                tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
+                run_core(trial, tsteps)
+                if diagram_cost(trial) < base:
+                    cur = trial
+                    steps.extend(tsteps)
+                    accepted = True
+                    break
+            if accepted or truncated:
+                break
+        if not accepted:
+            break
+
+    if budget <= 0 and first_core_match(cur) is not None:
+        truncated = True
+    return cur, RewriteTrace(initial, steps, cur.copy(), truncated)
+
+
+def _ladder_circuit(width, n, seed=1):
+    """The first draw with more than 0.9 * n gates."""
+    import random
+
+    from zxq.harness import random_clifford_t_circuit
+
+    rng = random.Random(seed)
+    while True:
+        c = random_clifford_t_circuit(rng, width, n)
+        if len(c.gates) > 0.9 * n:
+            return circuit_to_diagram(c)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_worklist_takes_the_steps_of_the_rescan(budget, full):
+    for seed in range(10):
+        d = _ladder_circuit(2 + seed % 3, 20 + 12 * seed, seed)
+        cfg = StrategyConfig(full=full)
+        if budget is not None:
+            cfg = StrategyConfig(step_budget=budget, full=full)
+        out, trace = simplify(d, cfg)
+        ref_out, ref = _reference_simplify(d, cfg)
+        assert trace.steps == ref.steps, seed
+        assert trace.truncated == ref.truncated, seed
+        assert out.digest() == ref_out.digest(), seed
+        assert budget is None or trace.truncated
+
+
+def test_core_simplify_match_calls_grow_linearly(monkeypatch):
+    """Core simplify asks the core predicates a number of times linear in
+    the circuit: 4x the gates may cost at most 6x the calls (a rescan per
+    step costs about 16x)."""
+    import dataclasses
+
+    calls = []
+    for name in CORE_SEQUENCE:
+        rule = RULES[name]
+
+        def counted(d, site, _matches=rule.forward.matches):
+            calls.append(1)
+            return _matches(d, site)
+
+        forward = dataclasses.replace(rule.forward, matches=counted)
+        counting = dataclasses.replace(rule, forward=forward, find=None, rewrite=None, apply=None)
+        monkeypatch.setitem(RULES, name, counting)
+    counts = []
+    for n in (600, 2400):
+        d = _ladder_circuit(4, n)
+        calls.clear()
+        simplify(d)
+        counts.append(len(calls))
+    assert counts[1] <= 6 * counts[0], counts
