@@ -11,7 +11,7 @@ from collections import Counter
 
 from zxq.circuits import circuit_to_diagram
 from zxq.harness import random_clifford_t_circuit
-from zxq.rewrite import FULL_STRATEGY, StrategyConfig, simplify
+from zxq.rewrite import simplify
 from zxq.semantics import equal_up_to_scalar, evaluate
 
 
@@ -26,13 +26,12 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    cfg = FULL_STRATEGY if args.full else StrategyConfig()
     rule_usage: Counter = Counter()
     spiders_before = spiders_after = edges_before = edges_after = 0
     for _ in range(args.circuits):
         c = random_clifford_t_circuit(rng, width=args.width, max_gates=args.gates)
         d = circuit_to_diagram(c)
-        out, trace = simplify(d, cfg)
+        out, trace = simplify(d, full=args.full)
         rule_usage.update(s.rule for s in trace.steps)
         spiders_before += d.spider_count
         spiders_after += out.spider_count

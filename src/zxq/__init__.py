@@ -51,7 +51,6 @@ from .rewrite import (
     RULES,
     RewriteRule,
     RewriteTrace,
-    StrategyConfig,
     simplify,
 )
 from .semantics import (

@@ -9,7 +9,6 @@ tolerance; ``--tol`` overrides both.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from .diagram_io import ZxgFormatError
 from .harness import verify_p_formulas, verify_relations, verify_rules
 from .phase import Phase, parse_phase
 from .phase_algebra import EulerTriple, p_rule_angles
-from .rewrite import FULL_STRATEGY, StrategyConfig, simplify
+from .rewrite import simplify
 from .semantics import (
     DEFAULT_ENTRY_CAP, DEFAULT_TOL, ResourceLimitError, equal_up_to_scalar, evaluate, matrix_to_text
 )
@@ -108,10 +107,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_simplify(args) -> int:
     d = _load_diagram(args.input)
-    cfg = FULL_STRATEGY if args.full else StrategyConfig()
-    if args.budget is not None:
-        cfg = dataclasses.replace(cfg, step_budget=args.budget)
-    out, trace = simplify(d, cfg)
+    budget = {} if args.budget is None else {"step_budget": args.budget}
+    out, trace = simplify(d, full=args.full, **budget)
     diagram_io.save(out, args.output)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:

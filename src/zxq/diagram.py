@@ -74,7 +74,7 @@ class Diagram:
         # the touched-vertex log: None until a reader switches it on, then
         # the ids every mutator changed since the reader last took it
         self._touched: set[int] | None = None
-        # digest()'s per-round WL labels, kept up to date from the log
+        # digest()'s per-round WL labels, kept only while the log is on
         self._wl: _WLCache | None = None
 
     # -- vertices ----------------------------------------------------------
@@ -444,21 +444,20 @@ class Diagram:
         equals ``nx.weisfeiler_lehman_graph_hash(self._to_networkx(),
         edge_attr="mult", node_attr="wl", iterations=4)[:8]``.
 
-        The diagram keeps each round's labels and label counts between
-        calls, and the first call switches the touched-vertex log on (see
-        :meth:`take_touched`).  A later call relabels only the logged
-        vertices at round 1, widened by one hop per round from the labels
-        that changed, so the value is the same as labelling everything
-        again.  A change to the port lists does label everything again.
+        While the touched-vertex log is on (see :meth:`take_touched`),
+        the diagram keeps each round's labels and label counts between
+        calls.  A later call relabels only the logged vertices at round 1,
+        widened by one hop per round from the labels that changed, so the
+        value is the same as labelling everything again.  A change to the
+        port lists does label everything again.  With the log off, the
+        call labels everything and keeps nothing.
         """
         ports = (tuple(self._inputs), tuple(self._outputs))
-        wl = self._wl
+        wl, dirty = self._wl, self._touched
         if wl is None or wl.ports != ports:
-            wl = self._wl = _WLCache(ports, self._port_tags())
-            dirty = set(self._kinds)
-        else:
-            dirty = self._touched
-        self._touched = set()
+            wl, dirty = _WLCache(ports, self._port_tags()), set(self._kinds)
+        if self._touched is not None:
+            self._wl, self._touched = wl, set()
         wl.relabel(self, dirty)
         return wl.digest()
 

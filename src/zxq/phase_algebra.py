@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import TWO_PI, Phase
+from .phase import Phase, circular_distance
 
 #: threshold (relative to the term magnitudes) below which a configuration
 #: is routed to the degenerate/singular paths
@@ -186,8 +186,7 @@ def chain_parameters(t: EulerTriple) -> tuple[complex, complex]:
 def degenerate_case(t: EulerTriple) -> str | None:
     """Which degenerate path (if any) ``p_rule_angles`` takes: one of
     ``"beta1=0"``, ``"z1=0"``, ``"z=0"`` or None for the generic path."""
-    beta = t.beta.radians
-    if min(beta, TWO_PI - beta) <= SINGULAR_EPS:
+    if circular_distance(t.beta.radians, 0.0) <= SINGULAR_EPS:
         return "beta1=0"
     z, z1 = chain_parameters(t)
     if abs(z1) <= SINGULAR_EPS:

@@ -9,13 +9,17 @@ the candidates the predicate accepts, in candidate order; ``rewrite``
 raises :class:`RuleMatchError` unless the predicate holds, so a rejected
 site leaves the diagram as it was, and then runs a transform that checks
 nothing itself and rewrites in place.  ``apply`` is the value-semantic
-form that rewrites a copy and returns it.  All registered rules are
-semantics-preserving up to a nonzero scalar; ``scalar_free`` marks the
-ones that preserve the matrix on the nose.
+form that rewrites a copy and returns it.  A rule's readings are called
+as ``rule.forward`` and ``rule.reverse``; the rule's own ``find`` and
+``apply`` are its forward reading's, held as fields so that a caller can
+wrap them.  All registered rules are semantics-preserving up to a
+nonzero scalar; ``scalar_free`` marks the ones that preserve the matrix
+on the nose.
 
-:func:`simplify` runs the core rules to a fixpoint without rescanning
-the diagram for each step: one heap per core rule holds the sites where
-it matches, and after each rewrite only the sites around the vertices in
+:func:`simplify` takes its step budget and its ``full`` switch as
+keywords.  It runs the core rules to a fixpoint without rescanning the
+diagram for each step: one heap per core rule holds the sites where it
+matches, and after each rewrite only the sites around the vertices in
 the diagram's touched-vertex log are checked again.  It takes the same
 steps, in the same order, as a rescan of every rule's ``find`` would.
 
@@ -198,13 +202,19 @@ def _wire(d: Diagram, site: Site) -> bool:
     return u in d and d.edge_mult(u, v) >= 1
 
 
+def _subdivide(d: Diagram, u: int, v: int, *chain: str, phase: Optional[Phase] = None) -> None:
+    """Replace one wire ``u``-``v`` by a path through new vertices of the
+    kinds in ``chain``, created in path order from ``u``; spiders get
+    ``phase`` (zero if None)."""
+    d.remove_edge(u, v)
+    path = [u, *(d.add_vertex(kind, phase) for kind in chain), v]
+    for a, b in zip(path, path[1:]):
+        d.add_edge(a, b)
+
+
 def insert_identity(d: Diagram, site: Site, kind: str) -> None:
     """Reverse reading of S2/S2': put a zero-phase spider of ``kind`` on a wire."""
-    u, v = site
-    d.remove_edge(u, v)
-    n = d.add_vertex(kind, Phase.zero())
-    d.add_edge(u, n)
-    d.add_edge(n, v)
+    _subdivide(d, *site, kind)
 
 
 insert_identity_z = partial(insert_identity, kind=VertexKind.Z)
@@ -245,13 +255,7 @@ def eliminate_hh(d: Diagram, site: Site) -> None:
 
 
 def insert_hh(d: Diagram, site: Site) -> None:
-    u, v = site
-    d.remove_edge(u, v)
-    g1 = d.add_vertex(VertexKind.H)
-    g2 = d.add_vertex(VertexKind.H)
-    d.add_edge(u, g1)
-    d.add_edge(g1, g2)
-    d.add_edge(g2, v)
+    _subdivide(d, *site, VertexKind.H, VertexKind.H)
 
 
 # -- colour change (H2) --------------------------------------------------------
@@ -261,17 +265,9 @@ def color_change(d: Diagram, site: Site) -> None:
     """Flip a spider's colour and put an H-box on every leg."""
     (v,) = site
     for w in _legs(d, v):
-        d.remove_edge(v, w)
-        h = d.add_vertex(VertexKind.H)
-        d.add_edge(v, h)
-        d.add_edge(h, w)
+        _subdivide(d, v, w, VertexKind.H)
     for _ in range(d.self_loops(v)):
-        d.remove_edge(v, v)
-        h1 = d.add_vertex(VertexKind.H)
-        h2 = d.add_vertex(VertexKind.H)
-        d.add_edge(v, h1)
-        d.add_edge(h1, h2)
-        d.add_edge(h2, v)
+        _subdivide(d, v, v, VertexKind.H, VertexKind.H)
     d.set_kind(v, opposite(d.kind(v)))
 
 
@@ -413,10 +409,7 @@ def push_pi(d: Diagram, site: Site) -> None:
     d.remove_vertex(p)
     d.add_edge(c, v)
     for w in legs:
-        d.remove_edge(v, w)
-        n = d.add_vertex(pi_kind, Phase.pi())
-        d.add_edge(v, n)
-        d.add_edge(n, w)
+        _subdivide(d, v, w, pi_kind, phase=Phase.pi())
     d.set_phase(v, -d.phase(v))
 
 
@@ -552,9 +545,10 @@ class RewriteRule:
     """A named rule: its forward orientation and, where the right-to-left
     reading is canonical, a reverse one.
 
-    ``find``, ``rewrite`` and ``apply`` and their ``_reverse`` forms default
-    to the orientations' own; ``dataclasses.replace`` may swap any of them
-    for a wrapped or altered callable.
+    ``find`` and ``apply`` default to the forward orientation's own.  They
+    are the rule's seams: the speculative pass of :func:`simplify` and the
+    rule campaign call them, so ``dataclasses.replace`` may swap them for
+    a wrapped callable that counts or times those calls.
     """
 
     name: str
@@ -562,17 +556,12 @@ class RewriteRule:
     forward: Orientation
     reverse: Optional[Orientation] = None
     find: Optional[Callable[[Diagram], list[Site]]] = None
-    rewrite: Optional[Callable[[Diagram, Site], None]] = None
     apply: Optional[Callable[[Diagram, Site], Diagram]] = None
-    find_reverse: Optional[Callable[[Diagram], list[Site]]] = None
-    rewrite_reverse: Optional[Callable[[Diagram, Site], None]] = None
-    apply_reverse: Optional[Callable[[Diagram, Site], Diagram]] = None
 
     def __post_init__(self) -> None:
-        for suffix, o in (("", self.forward), ("_reverse", self.reverse)):
-            for part in ("find", "rewrite", "apply"):
-                if o is not None and getattr(self, part + suffix) is None:
-                    object.__setattr__(self, part + suffix, getattr(o, part))
+        for part in ("find", "apply"):
+            if getattr(self, part) is None:
+                object.__setattr__(self, part, getattr(self.forward, part))
 
 
 _REMOVE_IDENTITY = Orientation(_spiders, _identity_spider, remove_identity)
@@ -611,23 +600,7 @@ CORE_SEQUENCE = ("S1", "S2", "HH", "Hf", "Cy")
 OPTIONAL_SEQUENCE = ("H2", "P")
 
 
-# -- simplification strategy -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Knobs for :func:`simplify`: the step budget, and whether the
-    speculative colour-change and chain-swap passes run (``full``)."""
-
-    step_budget: int = 10_000
-    full: bool = False
-
-    def __post_init__(self) -> None:
-        if self.step_budget <= 0:
-            raise ValueError("step budget must be positive")
-
-
-FULL_STRATEGY = StrategyConfig(full=True)
+# -- simplification ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -656,11 +629,13 @@ class RewriteTrace:
     def _states(self) -> Iterator[Diagram]:
         """The initial diagram, then the diagram after each step.  One
         working copy is rewritten in place, so each state must be used
-        before the next one is asked for."""
+        before the next one is asked for.  The copy's touched-vertex log
+        is on, so its digest keeps its labels from state to state."""
         g = self.initial.copy()
+        g.take_touched()
         yield g
         for s in self.steps:
-            RULES[s.rule].rewrite(g, s.site)
+            RULES[s.rule].forward.rewrite(g, s.site)
             yield g
 
     def digests(self) -> list[str]:
@@ -676,12 +651,12 @@ class RewriteTrace:
             for i, s in enumerate(self.steps)
         ]
 
-    def replay(self, strict: bool = True) -> Diagram:
-        """Re-run the recorded steps from the initial diagram; ``strict``
-        checks that the result has the final diagram's digest."""
+    def replay(self) -> Diagram:
+        """Re-run the recorded steps from the initial diagram and check
+        that the result has the final diagram's digest."""
         for g in self._states():  # keep only the last state
             pass
-        if strict and g.digest() != self.final.digest():
+        if g.digest() != self.final.digest():
             raise RuleMatchError("replay did not reproduce the final diagram")
         return g
 
@@ -721,7 +696,8 @@ class _CoreWorklist:
 
     def first_match(self) -> Optional[tuple[RewriteRule, Site]]:
         """The first rule in :data:`CORE_SEQUENCE` that matches and its
-        first site, or None."""
+        first site, or None.  The site has just been checked, so the
+        caller may run the rule's forward transform on it directly."""
         d = self.d
         self._push(d.take_touched())
         for rule, heap in zip(self.rules, self.heaps):
@@ -738,7 +714,9 @@ def diagram_cost(d: Diagram) -> tuple[int, int, int]:
     return (d.spider_count, d.n_edges, d.hbox_count)
 
 
-def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram, RewriteTrace]:
+def simplify(
+    d: Diagram, *, step_budget: int = 10_000, full: bool = False
+) -> tuple[Diagram, RewriteTrace]:
     """Reduce a diagram with a terminating priority loop.
 
     The core pass applies fusion, identity removal, HH-cancellation, the
@@ -747,9 +725,9 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
     each colour-change and chain-swap candidate move is then applied
     speculatively, followed by a core fixpoint, and kept only if the cost
     strictly decreased (a plateau move is rejected so the loop cannot
-    cycle).  The step budget bounds the total number of attempted
-    applications; exhausting it returns the best diagram so far with the
-    trace marked truncated.
+    cycle).  ``step_budget`` bounds the total number of attempted
+    applications and must be positive; exhausting it while work is left
+    returns the best diagram so far with the trace marked truncated.
 
     The core pass rewrites one working diagram in place; only each
     speculative move works on a copy, which a rejected move discards.
@@ -758,54 +736,45 @@ def simplify(d: Diagram, config: StrategyConfig | None = None) -> tuple[Diagram,
     match of the first core rule that has one, the step a rescan of every
     rule's ``find`` would take.
     """
-    cfg = config if config is not None else StrategyConfig()
+    if step_budget <= 0:
+        raise ValueError("step budget must be positive")
     initial = d.copy()
     cur = d.copy()
     steps: list[RewriteStep] = []
-    budget = cfg.step_budget
+    budget = step_budget
     truncated = False
 
     def run_core(g: Diagram, acc: list) -> None:
         nonlocal budget, truncated
         work = _CoreWorklist(g)
-        while True:
-            m = work.first_match()
-            if m is None:
-                return
+        while (m := work.first_match()) is not None:
             if budget <= 0:
                 truncated = True
                 return
             rule, site = m
-            rule.rewrite(g, site)
+            rule.forward.transform(g, site)
             acc.append(RewriteStep(rule.name, site, rule.scalar_free))
             budget -= 1
 
     run_core(cur, steps)
 
-    optional = OPTIONAL_SEQUENCE if cfg.full else ()
-    while optional and not truncated:
+    while full and not truncated:
         base = diagram_cost(cur)
-        accepted = False
-        for name in optional:
-            rule = RULES[name]
-            for site in rule.find(cur):
-                if budget <= 0:
-                    truncated = True
-                    break
-                budget -= 1
-                trial = rule.apply(cur, site)
-                tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
-                run_core(trial, tsteps)
-                if diagram_cost(trial) < base:
-                    cur = trial
-                    steps.extend(tsteps)
-                    accepted = True
-                    break
-            if accepted or truncated:
+        # H2's moves, then P's; P's find runs only once every H2 move failed
+        moves = ((r, s) for r in map(RULES.get, OPTIONAL_SEQUENCE) for s in r.find(cur))
+        for rule, site in moves:
+            if budget <= 0:
+                truncated = True
                 break
-        if not accepted:
+            budget -= 1
+            trial = rule.apply(cur, site)
+            tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
+            run_core(trial, tsteps)
+            if diagram_cost(trial) < base:
+                cur = trial
+                steps.extend(tsteps)
+                break
+        else:
             break
 
-    if budget <= 0 and _CoreWorklist(cur).first_match() is not None:
-        truncated = True
     return cur, RewriteTrace(initial, steps, cur.copy(), truncated)

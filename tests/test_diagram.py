@@ -306,17 +306,18 @@ def test_incremental_digest_equals_a_fresh_one_along_traces(full):
 
     from zxq.circuits import circuit_to_diagram
     from zxq.harness import random_clifford_t_circuit
-    from zxq.rewrite import FULL_STRATEGY, StrategyConfig, simplify
+    from zxq.rewrite import simplify
 
     states = 0
     for seed, width in enumerate((2, 3, 4, 5, 6) * 2):
         rng = random.Random(seed)
         d = circuit_to_diagram(random_clifford_t_circuit(rng, width, 40 + 8 * seed))
-        _, trace = simplify(d, FULL_STRATEGY if full else StrategyConfig())
+        _, trace = simplify(d, full=full)
         stride = 1 + seed % 3  # several rewrites may come between two digests
         for i, g in enumerate(trace._states()):
             if i % stride == 0:
                 assert g.digest() == fresh_digest(g), (seed, i)
+                assert g._wl is not None  # the replay's copy keeps its labels
                 states += 1
         assert g.digest() == fresh_digest(g) == nx_digest(g)
     assert states > 100
@@ -338,9 +339,11 @@ def test_incremental_digest_after_every_orientation():
                 d, _ = RULE_SAMPLERS[name](rng)
                 for site in o.find(d)[:3]:
                     g = d.copy()
+                    g.take_touched()  # keep the labels from one digest to the next
                     g.digest()
                     o.rewrite(g, site)
                     assert g.digest() == fresh_digest(g), (name, site)
+                    assert g._wl is not None
                     checked += 1
     assert checked > 100
 
@@ -350,6 +353,7 @@ def test_incremental_digest_follows_every_mutator():
     (s,) = d.spiders()
     x = d.add_vertex(VertexKind.X)
     d.add_edge(s, x)
+    d.take_touched()  # keep the labels from one digest to the next
     d.digest()
     edits = [
         lambda: d.set_phase(s, Phase.approx(0.25)),
@@ -368,6 +372,7 @@ def test_incremental_digest_follows_every_mutator():
     for i, edit in enumerate(edits):
         edit()
         assert d.digest() == fresh_digest(d) == nx_digest(d), i
+        assert d._wl is not None
 
 
 def test_touched_log_and_digest_cache_stay_with_their_diagram():
@@ -383,6 +388,8 @@ def test_touched_log_and_digest_cache_stay_with_their_diagram():
     d.digest()
     assert d._wl is not None and d._touched == set()
     g = d.copy()
+    assert g._wl is None and g._touched is None
+    g.digest()  # a diagram with the log off keeps no labels
     assert g._wl is None and g._touched is None
     d.set_phase(z, Phase.pi())
     d.take_touched()  # the digest cannot see what another reader took

@@ -9,13 +9,11 @@ from zxq.diagram import Diagram, VertexKind, identity_diagram, spider_diagram
 from zxq.phase import Phase
 from zxq.rewrite import (
     CORE_SEQUENCE,
-    FULL_STRATEGY,
     OPTIONAL_SEQUENCE,
     RULES,
     RewriteStep,
     RewriteTrace,
     RuleMatchError,
-    StrategyConfig,
     diagram_cost,
     simplify,
 )
@@ -285,8 +283,8 @@ def test_euler_h_expansion_scalar():
     assert v.equal
     assert v.scalar == pytest.approx((1 + 1j) / math.sqrt(2))
     # canonical reverse brings the H-box back
-    chain_site = RULES["H1"].find_reverse(out)[0]
-    back = RULES["H1"].apply_reverse(out, chain_site)
+    chain_site = RULES["H1"].reverse.find(out)[0]
+    back = RULES["H1"].reverse.apply(out, chain_site)
     assert back.iso_equal(d)
 
 
@@ -391,7 +389,7 @@ def test_simplify_core_never_raises_cost():
 
 def test_simplify_budget_truncates():
     d = circuit_to_diagram(parse_circuit("qubits 1\n" + "t 0\n" * 8))
-    out, trace = simplify(d, StrategyConfig(step_budget=2))
+    out, trace = simplify(d, step_budget=2)
     assert trace.truncated
     assert len(trace.steps) == 2
     assert_semantics_preserved(d, out)
@@ -399,7 +397,7 @@ def test_simplify_budget_truncates():
 
 def test_simplify_full_strategy_is_sound():
     d = circuit_to_diagram(parse_circuit("qubits 2\ns 0\nh 0\ns 0\nh 0\ns 0\nh 0\ncnot 0 1\n"))
-    out, trace = simplify(d, FULL_STRATEGY)
+    out, trace = simplify(d, full=True)
     assert_semantics_preserved(d, out)
     assert diagram_cost(out) <= diagram_cost(d)
 
@@ -422,8 +420,10 @@ def test_trace_export_format():
 
 
 def test_strategy_config_validation():
-    with pytest.raises(ValueError):
-        StrategyConfig(step_budget=0)
+    d = circuit_to_diagram(parse_circuit("qubits 1\nh 0\nh 0\n"))
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="step budget must be positive"):
+            simplify(d, step_budget=budget)
 
 
 def test_core_sequence_is_registered():
@@ -437,14 +437,14 @@ def test_registered_reverse_orientations_are_sound():
 
     rng = random.Random(13)
     for name, rule in sorted(RULES.items()):
-        if rule.find_reverse is None:
+        if rule.reverse is None:
             continue
         for _ in range(10):
             d, _ = RULE_SAMPLERS[name](rng)
-            sites = rule.find_reverse(d)
+            sites = rule.reverse.find(d)
             if not sites:
                 continue
-            out = rule.apply_reverse(d, sites[0])
+            out = rule.reverse.apply(d, sites[0])
             out.validate()
             assert_semantics_preserved(d, out)
 
@@ -458,17 +458,17 @@ def _golden_circuit():
     return circuit_to_diagram(parse_circuit((GOLDEN / "trace_3q.zxc").read_text()))
 
 
-@pytest.mark.parametrize("mode, config", [("plain", None), ("full", FULL_STRATEGY)])
+@pytest.mark.parametrize("mode, config", [("plain", None), ("full", {"full": True})])
 def test_trace_export_matches_golden(mode, config):
-    _, trace = simplify(_golden_circuit(), config)
+    _, trace = simplify(_golden_circuit(), **(config or {}))
     expected = (GOLDEN / f"trace_3q_{mode}.txt").read_text().splitlines()
     assert trace.export_lines() == expected
 
 
-@pytest.mark.parametrize("config", [None, FULL_STRATEGY])
+@pytest.mark.parametrize("config", [None, {"full": True}])
 def test_trace_digests_chain(config):
     d = _golden_circuit()
-    out, trace = simplify(d, config)
+    out, trace = simplify(d, **(config or {}))
     pairs = [line.rsplit(" digest:", 1)[1].split("->") for line in trace.export_lines()]
     assert pairs[0][0] == d.digest()
     for (_, after), (before, _) in zip(pairs, pairs[1:]):
@@ -485,7 +485,7 @@ def test_simplify_takes_no_digests(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Diagram, "digest", counted)
-    _, trace = simplify(_golden_circuit(), FULL_STRATEGY)
+    _, trace = simplify(_golden_circuit(), full=True)
     assert trace.steps and not calls
     trace.export_lines()
     trace.export_lines()
@@ -494,8 +494,8 @@ def test_simplify_takes_no_digests(monkeypatch):
 
 def test_strict_replay_checks_the_final_digest():
     out, trace = simplify(_golden_circuit())
+    assert trace.replay().iso_equal(out)
     trace.final = identity_diagram(3)
-    assert trace.replay(strict=False).iso_equal(out)
     with pytest.raises(RuleMatchError):
         trace.replay()
 
@@ -505,9 +505,9 @@ def test_strict_replay_checks_the_final_digest():
 
 def _orientations():
     for name, rule in sorted(RULES.items()):
-        yield name, rule.find, rule.rewrite, rule.apply
-        if rule.find_reverse is not None:
-            yield name, rule.find_reverse, rule.rewrite_reverse, rule.apply_reverse
+        for o in (rule.forward, rule.reverse):
+            if o is not None:
+                yield name, o.find, o.rewrite, o.apply
 
 
 def _state(d):
@@ -600,8 +600,8 @@ def test_h_chain_closed_into_triangle_becomes_looped_h_box():
     d.add_edge(a, b)
     d.add_edge(b, c)
     d.add_edge(c, a)
-    (site,) = RULES["H1"].find_reverse(d)
-    out = RULES["H1"].apply_reverse(d, site)
+    (site,) = RULES["H1"].reverse.find(d)
+    out = RULES["H1"].reverse.apply(d, site)
     (h,) = out.vertices()
     assert out.kind(h) == VertexKind.H and out.self_loops(h) == 1
     assert_semantics_preserved(d, out)
@@ -633,14 +633,15 @@ def test_core_simplify_copies_a_constant_number_of_times(monkeypatch):
 # -- the core worklist against the rescan it replaced --------------------------------
 
 
-def _reference_simplify(d, config=None):
+def _reference_simplify(d, step_budget=10_000, full=False):
     """The rescan loop ``simplify`` ran before its core worklist: every core
-    step builds each rule's whole ``find`` list and takes its first site."""
-    cfg = config if config is not None else StrategyConfig()
+    step builds each rule's whole ``find`` list and takes its first site,
+    and a run that ends with the budget spent rescans the result to decide
+    whether it was truncated."""
     initial = d.copy()
     cur = d.copy()
     steps = []
-    budget = cfg.step_budget
+    budget = step_budget
     truncated = False
 
     def first_core_match(g):
@@ -660,13 +661,13 @@ def _reference_simplify(d, config=None):
                 truncated = True
                 return
             rule, site = m
-            rule.rewrite(g, site)
+            rule.forward.rewrite(g, site)
             acc.append(RewriteStep(rule.name, site, rule.scalar_free))
             budget -= 1
 
     run_core(cur, steps)
 
-    optional = OPTIONAL_SEQUENCE if cfg.full else ()
+    optional = OPTIONAL_SEQUENCE if full else ()
     while optional and not truncated:
         base = diagram_cost(cur)
         accepted = False
@@ -708,20 +709,33 @@ def _ladder_circuit(width, n, seed=1):
             return circuit_to_diagram(c)
 
 
+def _assert_same_as_rescan(d, **kwargs):
+    out, trace = simplify(d, **kwargs)
+    ref_out, ref = _reference_simplify(d, **kwargs)
+    assert trace.steps == ref.steps
+    assert trace.truncated == ref.truncated
+    assert out.digest() == ref_out.digest()
+    return trace
+
+
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("budget", [1, 7, None])
 def test_worklist_takes_the_steps_of_the_rescan(budget, full):
+    budgets = {} if budget is None else {"step_budget": budget}
     for seed in range(10):
         d = _ladder_circuit(2 + seed % 3, 20 + 12 * seed, seed)
-        cfg = StrategyConfig(full=full)
-        if budget is not None:
-            cfg = StrategyConfig(step_budget=budget, full=full)
-        out, trace = simplify(d, cfg)
-        ref_out, ref = _reference_simplify(d, cfg)
-        assert trace.steps == ref.steps, seed
-        assert trace.truncated == ref.truncated, seed
-        assert out.digest() == ref_out.digest(), seed
+        trace = _assert_same_as_rescan(d, full=full, **budgets)
         assert budget is None or trace.truncated
+    if budget is None:
+        # every budget up to the first that finishes the run, against the
+        # reference's final rescan of the result
+        for seed in (1, 2):
+            d = _ladder_circuit(2 + seed % 3, 20 + 12 * seed, seed)
+            for step_budget in range(1, 500):
+                trace = _assert_same_as_rescan(d, step_budget=step_budget, full=full)
+                if not trace.truncated:
+                    break
+            assert not trace.truncated and step_budget >= len(trace.steps) > 10
 
 
 def test_core_simplify_match_calls_grow_linearly(monkeypatch):
@@ -739,7 +753,7 @@ def test_core_simplify_match_calls_grow_linearly(monkeypatch):
             return _matches(d, site)
 
         forward = dataclasses.replace(rule.forward, matches=counted)
-        counting = dataclasses.replace(rule, forward=forward, find=None, rewrite=None, apply=None)
+        counting = dataclasses.replace(rule, forward=forward, find=None, apply=None)
         monkeypatch.setitem(RULES, name, counting)
     counts = []
     for n in (600, 2400):
@@ -748,3 +762,43 @@ def test_core_simplify_match_calls_grow_linearly(monkeypatch):
         simplify(d)
         counts.append(len(calls))
     assert counts[1] <= 6 * counts[0], counts
+
+
+def test_speculative_pass_calls_the_rule_seams(monkeypatch):
+    """Wrapping ``find`` and ``apply`` of the optional rules, as a tracer
+    does, sees one ``apply`` call per speculative trial and changes no
+    step.  A round tries the candidates in ``find`` order up to the one it
+    keeps, H2's before P's."""
+    import dataclasses
+
+    d = _ladder_circuit(3, 32, 1)
+    want_out, want = simplify(d, full=True)
+    found, applied = [], []
+    for name in OPTIONAL_SEQUENCE:
+        rule = RULES[name]
+
+        def find(g, _find=rule.find, _name=name):
+            sites = _find(g)
+            found.append([(_name, s) for s in sites])
+            return sites
+
+        def apply(g, site, _apply=rule.apply, _name=name):
+            applied.append((_name, site))
+            return _apply(g, site)
+
+        monkeypatch.setitem(RULES, name, dataclasses.replace(rule, find=find, apply=apply))
+    out, trace = simplify(d, full=True)
+    assert trace.steps == want.steps
+    assert out.digest() == want_out.digest()
+
+    kept = [(s.rule, s.site) for s in trace.steps if s.rule in OPTIONAL_SEQUENCE]
+    assert {rule for rule, _ in kept} == set(OPTIONAL_SEQUENCE)
+    rounds, tried = iter(found), []
+    for move in kept + [None]:  # the last round keeps nothing
+        for candidates in rounds:
+            if move in candidates:
+                tried += candidates[: candidates.index(move) + 1]
+                break
+            tried += candidates
+    assert applied == tried
+    assert len(applied) > len(kept)
