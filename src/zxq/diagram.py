@@ -172,6 +172,11 @@ class Diagram:
         self._wl = None
         return touched
 
+    def stop_touched(self) -> None:
+        """Switch the touched-vertex log off, and with it the digest's cache."""
+        self._touched = None
+        self._wl = None
+
     # -- edges -------------------------------------------------------------
 
     def add_edge(self, u: int, v: int, count: int = 1) -> None:

@@ -777,4 +777,5 @@ def simplify(
         else:
             break
 
+    cur.stop_touched()  # nothing reads the log any more
     return cur, RewriteTrace(initial, steps, cur.copy(), truncated)

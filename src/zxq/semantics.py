@@ -9,6 +9,13 @@ X-spider is the same tensor conjugated by Hadamards on every leg, an H-box
 is the normalised Hadamard, and wires are identities.  Boundary port 0 is
 the most significant bit of the row (outputs) / column (inputs) index.
 
+A spider of degree d is built as A + e^{ia} B from a basis pair kept per
+colour and degree: A = |0>^d and B = |1>^d for Z, A = |+>^d and B = |->^d
+for X.  The pairs are read-only and kept only up to degree
+``_BASIS_CACHE_DEGREE``; a higher degree builds its pair each time.  Every
+H-box shares the read-only :data:`HADAMARD`, and every boundary-to-boundary
+wire one read-only identity.
+
 Evaluation contracts the wire network greedily, always merging the pair of
 tensors (joined by at least one wire) whose contraction yields the smallest
 open rank; ties go to the pair created first, compared by the lower id and
@@ -26,6 +33,11 @@ lists its vertices in gate order, so there the sweep stays near twice the
 width, where greedy's peak depends on the gate sequence.  Intermediate
 tensors are capped in size; exceeding the cap raises
 :class:`ResourceLimitError`.
+
+The tensors left once no wire joins two of them (one per connected piece)
+are multiplied out in creation order, starting from the first, and the
+product goes through ``+ 0.0``: that turns any -0 entry into 0 and gives
+the caller a fresh array, never a shared tensor or a view of one.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -46,24 +59,44 @@ DEFAULT_ENTRY_CAP = 1 << 20
 #: (contraction noise for unit-scale tensors sits around 1e-15)
 ZERO_FLOOR = 1e-12
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_ID2 = np.eye(2, dtype=complex)
+
+def _read_only(t: np.ndarray) -> np.ndarray:
+    t.flags.writeable = False
+    return t
+
+
+HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0))
+_ID2 = _read_only(np.eye(2, dtype=complex))
+
+#: the one-leg states each spider colour's basis pair is a power of
+_KETS = {
+    VertexKind.Z: (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
+    VertexKind.X: tuple(HADAMARD),
+}
+#: the highest degree whose basis pair is kept (2^10 entries, 16 kB an array)
+_BASIS_CACHE_DEGREE = 10
+_BASES: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 class ResourceLimitError(RuntimeError):
     """An intermediate tensor would exceed the configured entry cap."""
 
 
+def _basis_pair(kind: str, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only d-fold outer powers of ``kind``'s two kets."""
+    pair = _BASES.get((kind, degree))
+    if pair is None:
+        pair = tuple(_read_only(reduce(np.multiply.outer, [ket] * degree)) for ket in _KETS[kind])
+        if degree <= _BASIS_CACHE_DEGREE:
+            _BASES[kind, degree] = pair
+    return pair
+
+
 def _spider_tensor(kind: str, phase: Phase, degree: int) -> np.ndarray:
     if degree == 0:
         return np.array(1.0 + np.exp(1j * phase.radians), dtype=complex)
-    t = np.zeros((2,) * degree, dtype=complex)
-    t[(0,) * degree] = 1.0
-    t[(1,) * degree] = np.exp(1j * phase.radians)
-    if kind == VertexKind.X:
-        for ax in range(degree):
-            t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, ax)), 0, ax)
-    return t
+    a, b = _basis_pair(kind, degree)
+    return a + np.exp(1j * phase.radians) * b
 
 
 def _trace_duplicates(t: np.ndarray, labels: list) -> tuple[np.ndarray, list]:
@@ -116,7 +149,7 @@ def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]
         if 2**deg > max_entries:
             raise ResourceLimitError(f"vertex {v} needs a tensor of 2^{deg} entries")
         if kind == VertexKind.H:
-            t = HADAMARD.copy()
+            t = HADAMARD
         else:
             t = _spider_tensor(kind, d.phase(v), deg)
         tensors.append(_trace_duplicates(t, labels))
@@ -211,11 +244,11 @@ def _contract_sweep(tensors: list) -> list[tuple[np.ndarray, list]]:
 
 def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
     """Outer product of the tensors in list order, with the open legs put
-    in output-then-input port order, as a (2^outputs, 2^inputs) matrix."""
-    result = np.array(1.0, dtype=complex)
-    labels: list = []
-    for t, lbs in tensors:
-        result = np.tensordot(result, t, axes=0)
+    in output-then-input port order, as a fresh (2^outputs, 2^inputs)
+    matrix with no -0 entry."""
+    (result, labels), *rest = tensors or [(np.array(1.0, dtype=complex), [])]
+    for t, lbs in rest:
+        result = np.multiply.outer(result, t)
         labels = labels + lbs
 
     m, n = d.n_outputs, d.n_inputs
@@ -223,7 +256,7 @@ def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
     assert sorted(map(str, labels)) == sorted(map(str, order))
     perm = [labels.index(lb) for lb in order]
     result = np.transpose(result, perm) if perm else result
-    return result.reshape(2**m, 2**n)
+    return result.reshape(2**m, 2**n) + 0.0
 
 
 def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:

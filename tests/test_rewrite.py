@@ -492,6 +492,17 @@ def test_simplify_takes_no_digests(monkeypatch):
     assert len(calls) == len(trace.steps) + 1
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_simplify_returns_its_diagram_with_the_log_off(full):
+    # the core worklist's log would otherwise make the caller's first
+    # digest keep every round's labels
+    out, trace = simplify(_golden_circuit(), full=full)
+    assert trace.steps
+    assert out._touched is None
+    out.digest()
+    assert out._wl is None and out._touched is None
+
+
 def test_strict_replay_checks_the_final_digest():
     out, trace = simplify(_golden_circuit())
     assert trace.replay().iso_equal(out)

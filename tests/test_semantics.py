@@ -19,13 +19,17 @@ from zxq.harness import RULE_SAMPLERS, random_clifford_t_circuit
 from zxq.phase import Phase
 from zxq.rewrite import RULES
 from zxq.semantics import (
+    _BASES,
+    _BASIS_CACHE_DEGREE,
     DEFAULT_ENTRY_CAP,
     HADAMARD,
     ZERO_FLOOR,
     ResourceLimitError,
+    _basis_pair,
     _contract_greedy,
     _contract_sweep,
     _open_legs_matrix,
+    _spider_tensor,
     _sweep_rank,
     _trace_duplicates,
     _wire_tensors,
@@ -412,3 +416,87 @@ def test_deep_eight_qubit_circuit_evaluates_under_the_default_cap():
     got = evaluate(circuit_to_diagram(c))
     # 1/sqrt(2) per CNOT bridge leaves a norm near 1e-28, under ZERO_FLOOR
     assert equal_up_to_scalar(got / np.linalg.norm(got), circuit_matrix(c)).equal
+
+
+# -- spider tensors from cached basis pairs ---------------------------------------
+
+
+def _reference_spider_tensor(kind, phase, degree):
+    """The Z-spider |0..0> + e^{ia}|1..1>, and for X one Hadamard
+    ``tensordot`` per leg of it."""
+    if degree == 0:
+        return np.array(1.0 + np.exp(1j * phase.radians), dtype=complex)
+    t = np.zeros((2,) * degree, dtype=complex)
+    t[(0,) * degree] = 1.0
+    t[(1,) * degree] = np.exp(1j * phase.radians)
+    if kind == VertexKind.X:
+        for ax in range(degree):
+            t = np.moveaxis(np.tensordot(HADAMARD, t, axes=(1, ax)), 0, ax)
+    return t
+
+
+SPIDER_PHASES = [Phase.exact(k, 4) for k in range(8)] + [
+    Phase.exact(1, 3),
+    Phase.exact(5, 6),
+    Phase.approx(0.3),
+    Phase.approx(2.0),
+    Phase.approx(-1.1),
+    Phase.approx(4.7),
+]
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_spider_tensors_match_the_hadamard_per_leg_reference(degree):
+    for p in SPIDER_PHASES:
+        got = _spider_tensor(VertexKind.Z, p, degree)
+        assert got.tobytes() == _reference_spider_tensor(VertexKind.Z, p, degree).tobytes()
+        got = _spider_tensor(VertexKind.X, p, degree)
+        want = _reference_spider_tensor(VertexKind.X, p, degree)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15, (p, degree)
+
+
+def test_shared_tensors_are_read_only():
+    assert not HADAMARD.flags.writeable
+    for kind in (VertexKind.Z, VertexKind.X):
+        for degree in (1, 2, 5):
+            a, b = _basis_pair(kind, degree)
+            assert not a.flags.writeable and not b.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * degree] = 7.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        hadamard_diagram,
+        lambda: spider_diagram(VertexKind.X, Phase.exact(1, 4), 1, 2),
+        lambda: identity_diagram(1),
+    ],
+    ids=["h-box", "x-spider", "wire"],
+)
+def test_evaluate_returns_a_fresh_array(build):
+    d = build()
+    first = evaluate(d)
+    want = first.copy()
+    first[...] = 42.0
+    assert evaluate(d).tobytes() == want.tobytes()
+
+
+def test_basis_cache_keeps_no_high_degree():
+    p = Phase.exact(1, 4)
+    evaluate(spider_diagram(VertexKind.X, p, 1, 2))
+    assert (VertexKind.X, 3) in _BASES
+    got = evaluate(spider_diagram(VertexKind.X, p, 0, 16))
+    assert np.allclose(got[:, 0], _reference_spider_tensor(VertexKind.X, p, 16).ravel())
+    assert max(degree for _, degree in _BASES) <= _BASIS_CACHE_DEGREE
+    assert len(_BASES) <= 2 * _BASIS_CACHE_DEGREE
+
+
+def test_open_legs_matrix_has_no_negative_zero():
+    # T then Z contract to a diagonal whose zero entries come out of
+    # ``tensordot`` as -0, which ``zxq eval`` would print as "-0"
+    got = evaluate(circuit_to_diagram(Circuit(1, (Gate("t", (0,)), Gate("z", (0,))))))
+    assert got.shape == (2, 2)
+    assert not np.signbit(got.real[got.real == 0]).any()
+    assert not np.signbit(got.imag[got.imag == 0]).any()
