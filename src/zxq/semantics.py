@@ -16,23 +16,18 @@ for X.  The pairs are read-only and kept only up to degree
 H-box shares the read-only :data:`HADAMARD`, and every boundary-to-boundary
 wire one read-only identity.
 
-Evaluation contracts the wire network greedily, always merging the pair of
-tensors (joined by at least one wire) whose contraction yields the smallest
-open rank; ties go to the pair created first, compared by the lower id and
-then the higher.  Ids are creation order: the initial tensors in vertex
-order, then one new id per contraction result.  An index from each interior
-wire label to its two owning tensors is built once, and a heap holds the
-rank of every adjacent pair.  A contraction kills its two operands, so their
-stale heap entries are skipped when popped; only the result's labels change
-owner and only the result's neighbour pairs are pushed.  A step therefore
-costs the result's degree plus a heap operation, not a rescan of every
-pair.  Greedy gives up at its first contraction with more open legs than
-folding the tensors into one in creation order ever holds, a peak known
-from the labels alone, and that sweep runs instead.  A circuit's diagram
-lists its vertices in gate order, so there the sweep stays near twice the
-width, where greedy's peak depends on the gate sequence.  Intermediate
-tensors are capped in size; exceeding the cap raises
-:class:`ResourceLimitError`.
+Evaluation plans on the tensors' label lists alone, then one executor
+runs the plan.  A step ``(i, j, shared, out_labels)`` contracts tensors i
+and j into a new one; ids are creation order, the initial tensors in vertex
+order and then one per step.  The greedy plan merges the adjacent pair with
+the fewest open legs first, ties going to the lower id and then the higher.
+The fold merges the tensors into one in creation order; on a circuit's
+diagram, whose vertices come in gate order, its peak stays near twice the
+width, where greedy's depends on the gate sequence.  Greedy is kept unless
+its peak is above the fold's, which one pass over the labels gives, and only
+then are the fold's steps built.  Every step's rank is known before any
+work, so a step above the entry cap raises :class:`ResourceLimitError`
+before any contraction.
 
 The tensors left once no wire joins two of them (one per connected piece)
 are multiplied out in creation order, starting from the first, and the
@@ -156,52 +151,43 @@ def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]
     return tensors
 
 
-def _contract_greedy(
-    tensors: list, max_entries: int, max_rank: int
-) -> list[tuple[np.ndarray, list]] | None:
-    """Contract every int label away; returns the survivors in creation
-    order, or None at the first contraction above ``max_rank`` open legs.
-
-    A tensor's id is its index in ``tensors``; a contraction result is
-    appended, so it gets the next id, and its two operands become ``None``.
-    ``owners`` maps each live int label to the ids of its two tensors.  The
-    heap holds ``(rank, a, b)``, a < b, for every adjacent pair, where rank
-    is the number of open legs the contraction leaves; a pair's rank is
-    fixed while both members live, so a popped pair with a dead member is
-    just skipped.  After a contraction only the result's labels change
-    owner and only the result's neighbour pairs are pushed.
-    """
+def _plan_greedy(labels: list[list], max_rank: int) -> list[tuple] | None:
+    """The greedy plan, or None at its first step above ``max_rank`` open
+    legs.  An id is an index into ``labels``, to which each step's result
+    is appended.  ``owners`` maps each live int label to its two ids.  The
+    heap holds ``(rank, a, b)``, a < b, for every adjacent pair; a pair's
+    rank is fixed while both members live, so a popped pair with a consumed
+    member is skipped.  After a step only the result's labels change owner
+    and only its neighbour pairs are pushed."""
+    labels = list(labels)
     owners: dict = {}
-    for k, (_, labels) in enumerate(tensors):
-        for lb in labels:
+    for k, lbs in enumerate(labels):
+        for lb in lbs:
             if isinstance(lb, int):
                 owners.setdefault(lb, []).append(k)
     shared_by_pair: dict = {}
     for o in owners.values():
         pair = tuple(o)
         shared_by_pair[pair] = shared_by_pair.get(pair, 0) + 1
-    heap = [
-        (len(tensors[a][1]) + len(tensors[b][1]) - 2 * s, a, b)
-        for (a, b), s in shared_by_pair.items()
-    ]
+    heap = [(len(labels[a]) + len(labels[b]) - 2 * s, a, b) for (a, b), s in shared_by_pair.items()]
     heapq.heapify(heap)
 
+    steps = []
     while heap:
         rank, i, j = heapq.heappop(heap)
-        if tensors[i] is None or tensors[j] is None:
+        la, lb = labels[i], labels[j]
+        if la is None or lb is None:
             continue
         if rank > max_rank:
             return None
-        if 2**rank > max_entries:
-            raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
-        ta, la = tensors[i]
-        tb, lb = tensors[j]
-        t, labels = _contract_pair(ta, la, tb, lb)
-        k = len(tensors)
-        tensors[i] = tensors[j] = None
-        tensors.append((t, labels))
+        shared = sorted(set(la) & set(lb), key=str)
+        out = [x for x in la if x not in shared] + [x for x in lb if x not in shared]
+        k = len(labels)
+        labels[i] = labels[j] = None
+        labels.append(out)
+        steps.append((i, j, shared, out))
         shared_with: dict[int, int] = {}
-        for x in labels:
+        for x in out:
             o = owners.get(x)
             if o is not None:
                 side = 0 if o[0] in (i, j) else 1
@@ -209,37 +195,44 @@ def _contract_greedy(
                 n = o[1 - side]
                 shared_with[n] = shared_with.get(n, 0) + 1
         for n, s in shared_with.items():
-            heapq.heappush(heap, (len(labels) + len(tensors[n][1]) - 2 * s, n, k))
-    return [p for p in tensors if p is not None]
+            heapq.heappush(heap, (len(out) + len(labels[n]) - 2 * s, n, k))
+    return steps
 
 
-def _contract_pair(ta, la: list, tb, lb: list, key=str) -> tuple[np.ndarray, list]:
-    """Contract over the shared labels, taken in ``key`` order; the result's
-    legs are ``la``'s open ones, then ``lb``'s."""
-    shared = sorted(set(la) & set(lb), key=key)
-    t = np.tensordot(ta, tb, axes=([la.index(s) for s in shared], [lb.index(s) for s in shared]))
-    return t, [x for x in la if x not in shared] + [x for x in lb if x not in shared]
-
-
-def _sweep_rank(tensors: list) -> int:
-    """Peak rank of :func:`_contract_sweep`: its running tensor's legs are
-    the symmetric difference of the label sets folded in so far."""
+def _fold_peak(labels: list[list]) -> int:
+    """Peak rank of :func:`_plan_fold`: the running tensor's legs are the
+    symmetric difference of the label sets folded in so far."""
     legs, peak = set(), 0
-    for k, (_, labels) in enumerate(tensors):
-        legs ^= set(labels)
+    for k, lbs in enumerate(labels):
+        legs ^= set(lbs)
         peak = max(peak, len(legs) if k else 0)
     return peak
 
 
-def _contract_sweep(tensors: list) -> list[tuple[np.ndarray, list]]:
-    """Fold the tensors into one in creation order.  The running tensor goes
-    second, its shared legs in its own axis order, and the new legs go first,
-    where the next gate meets them: ``tensordot`` then mostly reads its
-    leading axes in place instead of copying it into a transposed layout."""
-    (t, labels), *rest = tensors
-    for tb, lb in rest:
-        t, labels = _contract_pair(tb, lb, t, labels, key=labels.index)
-    return [(t, labels)]
+def _plan_fold(labels: list[list]) -> list[tuple]:
+    """The fold's steps.  The new tensor goes first and the running one
+    second, its shared legs in its own axis order: ``tensordot`` then mostly
+    reads the running tensor's leading axes in place, not a transposed copy."""
+    steps: list[tuple] = []
+    run, held = 0, labels[0] if labels else []
+    for k in range(1, len(labels)):
+        new = labels[k]
+        shared = [x for x in held if x in new]
+        out = [x for x in new if x not in shared] + [x for x in held if x not in shared]
+        steps.append((k, run, shared, out))
+        run, held = len(labels) + len(steps) - 1, out
+    return steps
+
+
+def _execute(tensors: list, steps: list[tuple]) -> list[tuple[np.ndarray, list]]:
+    """Run a plan; returns the tensors no step consumed, in creation order."""
+    tensors = list(tensors)
+    for i, j, shared, out in steps:
+        (ta, la), (tb, lb) = tensors[i], tensors[j]
+        t = np.tensordot(ta, tb, ([la.index(s) for s in shared], [lb.index(s) for s in shared]))
+        tensors[i] = tensors[j] = None
+        tensors.append((t, out))
+    return [p for p in tensors if p is not None]
 
 
 def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
@@ -260,16 +253,22 @@ def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
 
 
 def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
-    """The matrix denoted by ``d``, shape (2^outputs, 2^inputs)."""
+    """The matrix denoted by ``d``, shape (2^outputs, 2^inputs).
+
+    Raises :class:`ResourceLimitError`, before any contraction, if a vertex
+    or a step of the chosen plan needs more than ``max_entries`` entries;
+    the message names the vertex's degree or the rank of the plan's first
+    step above the cap."""
     d.validate()
     tensors = _wire_tensors(d, max_entries)
-    sweep = _sweep_rank(tensors)
-    survivors = _contract_greedy(list(tensors), max_entries, sweep)
-    if survivors is None:
-        if 2**sweep > max_entries:
-            raise ResourceLimitError(f"contraction needs a tensor of 2^{sweep} entries")
-        survivors = _contract_sweep(tensors)
-    return _open_legs_matrix(d, survivors)
+    labels = [lbs for _, lbs in tensors]
+    steps = _plan_greedy(labels, _fold_peak(labels))
+    if steps is None:
+        steps = _plan_fold(labels)
+    for _, _, _, out in steps:
+        if 2 ** len(out) > max_entries:
+            raise ResourceLimitError(f"contraction needs a tensor of 2^{len(out)} entries")
+    return _open_legs_matrix(d, _execute(tensors, steps))
 
 
 @dataclass(frozen=True)

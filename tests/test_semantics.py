@@ -26,11 +26,12 @@ from zxq.semantics import (
     ZERO_FLOOR,
     ResourceLimitError,
     _basis_pair,
-    _contract_greedy,
-    _contract_sweep,
+    _execute,
+    _fold_peak,
     _open_legs_matrix,
+    _plan_fold,
+    _plan_greedy,
     _spider_tensor,
-    _sweep_rank,
     _trace_duplicates,
     _wire_tensors,
     equal_up_to_scalar,
@@ -265,11 +266,43 @@ def assert_bit_identical(d):
     assert got.tobytes() == want.tobytes()
 
 
+def record_tensordot(monkeypatch):
+    """Patch ``np.tensordot`` to append each result's rank to a list."""
+    ranks, real = [], np.tensordot
+
+    def tensordot(*args, **kwargs):
+        t = real(*args, **kwargs)
+        ranks.append(t.ndim)
+        return t
+
+    monkeypatch.setattr(np, "tensordot", tensordot)
+    return ranks
+
+
+def assert_plans_agree_with_executor(d, monkeypatch):
+    # each step's out_labels has the rank of the tensor executed for it,
+    # and the plan's peak is the largest of them
+    tensors = _wire_tensors(d, DEFAULT_ENTRY_CAP)
+    labels = [lbs for _, lbs in tensors]
+    greedy, fold = _plan_greedy(labels, math.inf), _plan_fold(labels)
+    for steps in (greedy, fold):
+        with monkeypatch.context() as m:
+            ranks = record_tensordot(m)
+            _execute(tensors, steps)
+        assert ranks == [len(out) for *_, out in steps]
+    assert _fold_peak(labels) == max((len(out) for *_, out in fold), default=0)
+    peak = max((len(out) for *_, out in greedy), default=0)
+    assert _plan_greedy(labels, peak) == greedy
+    assert peak == 0 or _plan_greedy(labels, peak - 1) is None
+
+
 @pytest.mark.parametrize("width", range(1, 7))
-def test_indexed_contraction_matches_reference_on_circuits(width):
+def test_indexed_contraction_matches_reference_on_circuits(width, monkeypatch):
     rng = random.Random(100 + width)
     for _ in range(6):
-        assert_bit_identical(circuit_to_diagram(random_clifford_t_circuit(rng, width, 80)))
+        d = circuit_to_diagram(random_clifford_t_circuit(rng, width, 80))
+        assert_bit_identical(d)
+        assert_plans_agree_with_executor(d, monkeypatch)
 
 
 def test_indexed_contraction_matches_reference_on_rule_instances():
@@ -338,8 +371,10 @@ def _pieces():
     ],
     ids=["self-loops", "parallel", "wires", "pieces", "degree-0", "closed", "empty", "cap"],
 )
-def test_indexed_contraction_matches_reference_on_edge_cases(build):
-    assert_bit_identical(build())
+def test_indexed_contraction_matches_reference_on_edge_cases(build, monkeypatch):
+    d = build()
+    assert_bit_identical(d)
+    assert_plans_agree_with_executor(d, monkeypatch)
 
 
 def _outcome(evaluator, d, cap):
@@ -349,12 +384,19 @@ def _outcome(evaluator, d, cap):
         return str(e)
 
 
-def test_resource_limit_at_the_same_caps_as_reference():
+def test_resource_limit_at_the_same_caps_as_reference(monkeypatch):
     d = circuit_to_diagram(random_clifford_t_circuit(random.Random(3), 5, 120))
     caps = [2**k for k in range(14)]
-    got = [_outcome(evaluate, d, cap) for cap in caps]
-    assert got == [_outcome(reference_evaluate, d, cap) for cap in caps]
-    # the sweep spans the peak: the vertex check, contraction limits, success
+    want = [_outcome(reference_evaluate, d, cap) for cap in caps]
+    ranks = record_tensordot(monkeypatch)
+    got = []
+    for cap in caps:
+        ranks.clear()
+        got.append(_outcome(evaluate, d, cap))
+        # a limit is raised before any contraction
+        assert isinstance(got[-1], bytes) or ranks == [], cap
+    assert got == want
+    # the caps span the peak: the vertex check, contraction limits, success
     messages = [o for o in got if isinstance(o, str)]
     assert any(m.startswith("vertex") for m in messages)
     assert any(m.startswith("contraction") for m in messages)
@@ -378,7 +420,7 @@ def test_long_two_qubit_circuit_matches_oracle():
     assert equal_up_to_scalar(got, circuit_matrix(c)).equal
 
 
-# -- the creation-order sweep ---------------------------------------------------
+# -- the creation-order fold ----------------------------------------------------
 
 
 @pytest.mark.parametrize("width", range(1, 8))
@@ -388,26 +430,28 @@ def test_sweep_rank_of_a_circuit_is_bounded_by_its_width(width):
     rng = random.Random(300 + width)
     for _ in range(20):
         d = circuit_to_diagram(random_clifford_t_circuit(rng, width, 300))
-        assert _sweep_rank(_wire_tensors(d, DEFAULT_ENTRY_CAP)) <= 2 * width + 2
+        labels = [lbs for _, lbs in _wire_tensors(d, DEFAULT_ENTRY_CAP)]
+        assert _fold_peak(labels) <= 2 * width + 2
 
 
 def test_evaluate_takes_the_sweep_when_greedy_peaks_higher():
     c = random_clifford_t_circuit(random.Random(0), 6, 300)
     d = circuit_to_diagram(c)
     tensors = _wire_tensors(d, DEFAULT_ENTRY_CAP)
-    assert _sweep_rank(tensors) == 14
+    labels = [lbs for _, lbs in tensors]
+    assert _fold_peak(labels) == 14
     # greedy's peak is 17
-    assert _contract_greedy(list(tensors), 2**17, 16) is None
-    assert _contract_greedy(list(tensors), 2**17, 17) is not None
+    assert _plan_greedy(labels, 16) is None
+    assert _plan_greedy(labels, 17) is not None
     got = evaluate(d, max_entries=2**14)
-    assert got.tobytes() == _open_legs_matrix(d, _contract_sweep(tensors)).tobytes()
+    assert got.tobytes() == _open_legs_matrix(d, _execute(tensors, _plan_fold(labels))).tobytes()
     assert equal_up_to_scalar(got, circuit_matrix(c)).equal
     with pytest.raises(ResourceLimitError, match=r"2\^14 entries"):
         evaluate(d, max_entries=2**13)
 
 
 def test_deep_eight_qubit_circuit_evaluates_under_the_default_cap():
-    # greedy needs 2^24 entries here and the sweep 2^18, under the 2^20 cap
+    # greedy needs 2^24 entries here and the fold 2^18, under the 2^20 cap
     rng = random.Random(1)
     c = random_clifford_t_circuit(rng, 8, 1159)
     while len(c.gates) <= 0.9 * 1159:
