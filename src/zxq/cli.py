@@ -130,15 +130,16 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
+    if args.samples is not None and args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     tol = _tolerance(args)
+    samples = {} if args.samples is None else {"samples": args.samples}
     if args.campaign == "rules":
-        rep = verify_rules(seed=args.seed, samples=args.samples, tol=tol)
+        rep = verify_rules(seed=args.seed, tol=tol, **samples)
     elif args.campaign == "relations":
         rep = verify_relations(tol=tol)
     else:
-        rep = verify_p_formulas(seed=args.seed, samples=args.samples, tol=tol)
+        rep = verify_p_formulas(seed=args.seed, tol=tol, **samples)
     sys.stdout.write(rep.render_body())
     print(f"# wall time: {rep.wall_time:.2f}s", file=sys.stderr)
     return 0 if rep.passed else 1
@@ -208,8 +209,6 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "command", None) == "verify" and args.samples is None:
-        args.samples = 100 if args.campaign == "rules" else 1000
     try:
         return args.func(args)
     except (

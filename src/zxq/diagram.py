@@ -145,9 +145,6 @@ class Diagram:
     def is_spider(self, v: int) -> bool:
         return self._kinds[v] in SPIDER_KINDS
 
-    def is_boundary(self, v: int) -> bool:
-        return self._kinds[v] in BOUNDARY_KINDS
-
     def vertices(self) -> list[int]:
         return sorted(self._kinds)
 
@@ -214,16 +211,34 @@ class Diagram:
                 if v >= u:
                     yield u, v, self._adj[u][v]
 
-    def edge_instances(self) -> list[tuple[int, int]]:
-        """Every parallel edge as its own (u, v) pair, u <= v."""
-        out = []
-        for u, v, m in self.edges():
-            out.extend([(u, v)] * m)
-        return out
-
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbours of v, excluding v itself."""
         return sorted(w for w in self._adj[v] if w != v)
+
+    def legs(self, v: int, skip: int | None = None) -> list[int]:
+        """The far end of each leg of ``v``, one entry per parallel wire, in
+        neighbour order; self-loops and the wires to ``skip`` are left out."""
+        adj = self._adj[v]
+        return [w for w in sorted(adj) if w != v and w != skip for _ in range(adj[w])]
+
+    def splice(self, v: int) -> None:
+        """Remove ``v``, a vertex that is just a wire, and join its two leg
+        ends: the inverse of putting a vertex on a wire.
+
+        A wire that closes on itself is the scalar 2.  So a ``v`` whose only
+        legs are one self-loop is replaced by an isolated zero-phase
+        Z-spider, which carries that scalar.  Any other ``v`` raises
+        :class:`InvalidDiagramError` and leaves the diagram as it was.  The
+        surgery is plain mutator calls, so the touched-vertex log sees it.
+        """
+        ends, loops = self.legs(v), self.self_loops(v)
+        if len(ends) + 2 * loops != 2:
+            raise InvalidDiagramError(f"cannot splice vertex {v} of degree {self.degree(v)}, not 2")
+        self.remove_vertex(v)
+        if loops:
+            self.add_vertex(VertexKind.Z)
+        else:
+            self.add_edge(*ends)
 
     def self_loops(self, v: int) -> int:
         return self._adj[v][v]
@@ -338,10 +353,9 @@ class Diagram:
     def compose(self, other: "Diagram") -> "Diagram":
         """Plug self's outputs into other's inputs, port by port.
 
-        Both boundary vertices of each fused pair disappear and their
-        neighbours are joined.  A wire cycle that closes entirely through
-        fused boundaries leaves an isolated zero-phase Z-spider behind,
-        which carries the cycle's scalar value of 2.
+        Each plugged pair of boundary vertices is wired together, and then
+        every one of them is spliced out (see :meth:`splice`), so a wire
+        cycle that closes entirely through them leaves the scalar 2.
         """
         if self.n_outputs != other.n_inputs:
             raise InvalidDiagramError(
@@ -350,38 +364,12 @@ class Diagram:
             )
         res = self.copy()
         remap = res._absorb(other)
-        pairs = [(o, remap[i]) for o, i in zip(self._outputs, other._inputs)]
-
-        conns = res.edge_instances() + pairs
-        fused = {v for pair in pairs for v in pair}
-
-        loops = 0
+        fused = []
+        for o, i in zip(self._outputs, other._inputs):
+            res.add_edge(o, remap[i])
+            fused += (o, remap[i])
         for f in sorted(fused):
-            mine = [c for c in conns if f in c]
-            assert len(mine) in (1, 2)
-            if len(mine) == 1:  # both slots in one connection: (f, f) closes a cycle
-                assert mine[0] == (f, f)
-                conns.remove(mine[0])
-                loops += 1
-                continue
-            e1, e2 = mine
-            conns.remove(e1)
-            conns.remove(e2)
-            x = e1[0] if e1[1] == f else e1[1]
-            y = e2[0] if e2[1] == f else e2[1]
-            if x == f and y == f:
-                loops += 1
-            else:
-                conns.append((x, y))
-
-        res._adj = {v: Counter() for v in res._adj}
-        for u, v in conns:
-            res.add_edge(u, v)
-        for f in fused:
-            res.remove_vertex(f)
-        for _ in range(loops):
-            res.add_vertex(VertexKind.Z, Phase.zero())
-
+            res.splice(f)
         res._inputs = list(self._inputs)
         res._outputs = [remap[o] for o in other._outputs]
         return res

@@ -59,12 +59,6 @@ def _complementary(d: Diagram, u: int, v: int) -> bool:
     return u != v and _is_plain_spider(d, u) and _is_plain_spider(d, v) and d.kind(u) != d.kind(v)
 
 
-def _legs(d: Diagram, v: int, skip: Optional[int] = None) -> list[int]:
-    """The far end of each leg of ``v``, one entry per parallel wire, in
-    neighbour order; self-loops and the wires to ``skip`` are left out."""
-    return [w for w in d.neighbors(v) if w != skip for _ in range(d.edge_mult(v, w))]
-
-
 # -- candidate sites: every site of the right shape, in a fixed order ------------
 
 
@@ -191,9 +185,7 @@ def _identity_spider(d: Diagram, site: Site) -> bool:
 def remove_identity(d: Diagram, site: Site) -> None:
     """Delete a zero-phase degree-2 spider, joining its two neighbours."""
     (v,) = site
-    a, b = d.neighbors(v)
-    d.remove_vertex(v)
-    d.add_edge(a, b)
+    d.splice(v)
 
 
 def _wire(d: Diagram, site: Site) -> bool:
@@ -205,7 +197,7 @@ def _wire(d: Diagram, site: Site) -> bool:
 def _subdivide(d: Diagram, u: int, v: int, *chain: str, phase: Optional[Phase] = None) -> None:
     """Replace one wire ``u``-``v`` by a path through new vertices of the
     kinds in ``chain``, created in path order from ``u``; spiders get
-    ``phase`` (zero if None)."""
+    ``phase`` (zero if None).  :meth:`Diagram.splice` undoes one vertex."""
     d.remove_edge(u, v)
     path = [u, *(d.add_vertex(kind, phase) for kind in chain), v]
     for a, b in zip(path, path[1:]):
@@ -238,20 +230,10 @@ def _hbox_pair(d: Diagram, site: Site) -> bool:
 
 
 def eliminate_hh(d: Diagram, site: Site) -> None:
-    """Two H-boxes in series cancel; their outer endpoints are joined.
-
-    A pair joined by both wires is a closed 2-cycle with scalar value 2;
-    it collapses to an isolated zero-phase spider carrying that scalar.
-    """
-    h1, h2 = site
-    m = d.edge_mult(h1, h2)
-    outer = _legs(d, h1, h2) + _legs(d, h2, h1)
-    d.remove_vertex(h1)
-    d.remove_vertex(h2)
-    if m == 2:
-        d.add_vertex(VertexKind.Z, Phase.zero())
-    else:
-        d.add_edge(*outer)
+    """Two H-boxes in series cancel: both are spliced out, so a pair
+    joined by both wires leaves the scalar 2 of a closed wire."""
+    for h in site:
+        d.splice(h)
 
 
 def insert_hh(d: Diagram, site: Site) -> None:
@@ -264,7 +246,7 @@ def insert_hh(d: Diagram, site: Site) -> None:
 def color_change(d: Diagram, site: Site) -> None:
     """Flip a spider's colour and put an H-box on every leg."""
     (v,) = site
-    for w in _legs(d, v):
+    for w in d.legs(v):
         _subdivide(d, v, w, VertexKind.H)
     for _ in range(d.self_loops(v)):
         _subdivide(d, v, v, VertexKind.H, VertexKind.H)
@@ -344,7 +326,7 @@ def copy_point(d: Diagram, site: Site) -> None:
     spider; a pi point is absorbed (its phase goes into the scalar)."""
     p, v = site
     kind, phase = d.kind(p), d.phase(p)
-    legs = _legs(d, v, p)
+    legs = d.legs(v, p)
     d.remove_vertex(p)
     d.remove_vertex(v)
     for w in legs:
@@ -372,7 +354,7 @@ def apply_bialgebra(d: Diagram, site: Site) -> None:
     complete bipartite graph over fresh spiders, the colours exchanged
     side for side.  B2 is its degree-3 instance, a square."""
     zv, xv = site
-    z_legs, x_legs = _legs(d, zv, xv), _legs(d, xv, zv)
+    z_legs, x_legs = d.legs(zv, xv), d.legs(xv, zv)
     d.remove_vertex(zv)
     d.remove_vertex(xv)
     new_x = []
@@ -404,10 +386,8 @@ def push_pi(d: Diagram, site: Site) -> None:
     moves to every other leg of the spider, whose phase is negated."""
     p, v = site
     pi_kind = d.kind(p)
-    (c,) = _legs(d, p, v)
-    legs = _legs(d, v, p)
-    d.remove_vertex(p)
-    d.add_edge(c, v)
+    legs = d.legs(v, p)
+    d.splice(p)
     for w in legs:
         _subdivide(d, v, w, pi_kind, phase=Phase.pi())
     d.set_phase(v, -d.phase(v))
@@ -453,22 +433,16 @@ def apply_euler_h(d: Diagram, site: Site) -> None:
     """Expand an H-box into the quarter-turn chain Z(pi/2) X(pi/2) Z(pi/2)."""
     (h,) = site
     a, b = d.neighbors(h)
-    d.remove_vertex(h)
-    s1 = d.add_vertex(VertexKind.Z, PI_HALF)
-    s2 = d.add_vertex(VertexKind.X, PI_HALF)
-    s3 = d.add_vertex(VertexKind.Z, PI_HALF)
-    d.add_edge(a, s1)
-    d.add_edge(s1, s2)
-    d.add_edge(s2, s3)
-    d.add_edge(s3, b)
+    d.splice(h)
+    _subdivide(d, a, b, VertexKind.Z, VertexKind.X, VertexKind.Z, phase=PI_HALF)
 
 
 def apply_h_from_chain(d: Diagram, site: Site) -> None:
     """Contract a Z(pi/2) X(pi/2) Z(pi/2) chain back into one H-box; a
     chain closed into a triangle becomes an H-box on a self-loop."""
     v1, v2, v3 = site
-    (a,) = _legs(d, v1, v2)
-    (b,) = _legs(d, v3, v2)
+    (a,) = d.legs(v1, v2)
+    (b,) = d.legs(v3, v2)
     for v in site:
         d.remove_vertex(v)
     h = d.add_vertex(VertexKind.H)

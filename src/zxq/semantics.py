@@ -125,18 +125,19 @@ def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]
     slots: dict[int, list] = {v: [] for v in d.vertices() if v not in ext}
     tensors: list[tuple[np.ndarray, list]] = []
     fresh = 0
-    for u, v in d.edge_instances():
-        if u in ext and v in ext:
-            tensors.append((_ID2, [ext[u], ext[v]]))
-        elif u in ext:
-            slots[v].append(ext[u])
-        elif v in ext:
-            slots[u].append(ext[v])
-        else:
-            label = fresh
-            fresh += 1
-            slots[u].append(label)
-            slots[v].append(label)
+    for u, v, m in d.edges():
+        for _ in range(m):
+            if u in ext and v in ext:
+                tensors.append((_ID2, [ext[u], ext[v]]))
+            elif u in ext:
+                slots[v].append(ext[u])
+            elif v in ext:
+                slots[u].append(ext[v])
+            else:
+                label = fresh
+                fresh += 1
+                slots[u].append(label)
+                slots[v].append(label)
 
     for v, labels in slots.items():
         kind = d.kind(v)

@@ -176,6 +176,14 @@ def test_verify_pformulas_exit_zero(capsys):
     assert cli_main(["verify", "pformulas", "--samples", "50"]) == 0
 
 
+@pytest.mark.parametrize("campaign, line", [
+    ("rules", "samples_per_rule: 100"), ("pformulas", "samples: 1000"),
+])
+def test_verify_samples_default_to_the_campaigns_own(campaign, line, capsys):
+    assert cli_main(["verify", campaign]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("campaign", ["rules", "relations", "pformulas"])
 def test_verify_rejects_samples_below_one(campaign, samples, capsys):

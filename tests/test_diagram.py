@@ -44,6 +44,86 @@ def test_compose_arity_mismatch():
         identity_diagram(1).compose(identity_diagram(2))
 
 
+def scalar_spiders(n: int) -> Diagram:
+    d = Diagram()
+    for _ in range(n):
+        d.add_vertex(VertexKind.Z)
+    return d
+
+
+def test_compose_yanks_a_chain_of_pass_through_ports():
+    # (1 (x) cap) ; (cup (x) 1): the wire runs through all six plugged ports
+    snake = identity_diagram(1).tensor(cap_diagram()).compose(
+        cup_diagram().tensor(identity_diagram(1))
+    )
+    assert snake.iso_equal(identity_diagram(1))
+    assert np.array_equal(evaluate(snake), np.eye(2))
+
+
+def test_compose_with_mirror_leaves_wire_and_loop():
+    d = identity_diagram(1).tensor(cap_diagram()).compose(
+        identity_diagram(1).tensor(cup_diagram())
+    )
+    assert d.iso_equal(identity_diagram(1).tensor(scalar_spiders(1)))
+    assert np.allclose(evaluate(d), 2 * np.eye(2))
+
+
+def test_compose_closing_two_loops_leaves_two_scalars():
+    d = cap_diagram().tensor(cap_diagram()).compose(cup_diagram().tensor(cup_diagram()))
+    assert d.iso_equal(scalar_spiders(2))
+    assert np.allclose(evaluate(d), [[4.0]])
+
+
+def test_splice_wire_vertex_joins_its_legs():
+    d = spider_diagram(VertexKind.Z, Phase.zero(), 1, 1)
+    (v,) = d.spiders()
+    i, o = d.inputs[0], d.outputs[0]
+    d.take_touched()
+    d.splice(v)
+    assert d.take_touched() == {v, i, o}
+    assert d.iso_equal(identity_diagram(1))
+    assert np.array_equal(evaluate(d), np.eye(2))
+
+
+def test_splice_two_legs_to_one_neighbour_leave_a_self_loop():
+    d = spider_diagram(VertexKind.X, Phase.exact(1, 4), 1, 0)
+    (u,) = d.spiders()
+    h = d.add_vertex(VertexKind.H)
+    d.add_edge(u, h, 2)
+    d.splice(h)
+    want = spider_diagram(VertexKind.X, Phase.exact(1, 4), 1, 0)
+    (w,) = want.spiders()
+    want.add_edge(w, w)
+    assert d.self_loops(u) == 1
+    assert d.iso_equal(want)
+
+
+def test_splice_lone_self_loop_leaves_the_scalar_two():
+    d = Diagram()
+    h = d.add_vertex(VertexKind.H)
+    d.add_edge(h, h)
+    d.splice(h)
+    assert d.iso_equal(scalar_spiders(1))
+    assert np.array_equal(evaluate(d), [[2.0]])
+
+
+@pytest.mark.parametrize("legs, loops", [(3, 0), (1, 0), (1, 1), (0, 2), (0, 0)])
+def test_splice_rejects_other_degrees_and_leaves_the_diagram(legs, loops):
+    d = Diagram()
+    v = d.add_vertex(VertexKind.Z, Phase.exact(1, 2))
+    for _ in range(legs):
+        d.add_edge(v, d.add_output())
+    if loops:
+        d.add_edge(v, v, loops)
+    before = d.copy()
+    d.take_touched()
+    with pytest.raises(InvalidDiagramError, match=f"degree {legs + 2 * loops}"):
+        d.splice(v)
+    assert d.take_touched() == set()
+    assert d.vertices() == before.vertices() and list(d.edges()) == list(before.edges())
+    assert d.iso_equal(before)
+
+
 def test_tensor_unit():
     d = spider_diagram(VertexKind.X, Phase.exact(1, 2), 1, 2)
     assert empty_diagram().tensor(d).iso_equal(d)

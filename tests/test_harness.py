@@ -1,6 +1,8 @@
 import dataclasses
 import random
 
+import pytest
+
 from zxq.harness import (
     RULE_SAMPLERS,
     random_clifford_t_circuit,
@@ -10,6 +12,7 @@ from zxq.harness import (
 )
 from zxq.phase import Phase
 from zxq.rewrite import RULES
+from zxq.semantics import equal_up_to_scalar, evaluate
 
 
 def test_rules_campaign_passes():
@@ -97,6 +100,24 @@ def test_samplers_cover_every_rule():
         d.validate()
         sites = RULES[name].find(d)
         assert site in sites or tuple(reversed(site)) in sites, name
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_scalar_free_marks_exactly_the_exact_rules(name):
+    # an exact rule keeps the matrix on the nose on every sample; every
+    # other rule moves the scalar on some sample (Hf by 2, B2 by 1/sqrt 2)
+    rule, rng = RULES[name], random.Random(3)
+    scalars = []
+    for _ in range(60):
+        d, site = RULE_SAMPLERS[name](rng)
+        verdict = equal_up_to_scalar(evaluate(d), evaluate(rule.apply(d, site)))
+        assert verdict.equal, (name, site)
+        scalars.append(verdict.scalar)  # None only where both sides are the zero map
+    off = [k for k in scalars if k is not None and abs(k - 1) > 1e-9]
+    if rule.scalar_free:
+        assert off == [], name
+    else:
+        assert off, name
 
 
 def test_pi_sampler_instantiates_quarter_phases():
