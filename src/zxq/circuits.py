@@ -22,6 +22,7 @@ import numpy as np
 
 from .diagram import Diagram, VertexKind
 from .phase import Phase, parse_phase
+from .phase_algebra import x_phase_matrix, z_phase_matrix
 from .semantics import HADAMARD
 
 GATE_ARITY = {
@@ -229,8 +230,8 @@ GATE_UNITARIES = {
 def _unitary(g: Gate) -> np.ndarray:
     if g.phase is None:
         return GATE_UNITARIES[g.name]
-    u = np.array([[1, 0], [0, np.exp(1j * g.phase.radians)]], dtype=complex)
-    return HADAMARD @ u @ HADAMARD if g.name == "rx" else u
+    rotation = x_phase_matrix if g.name == "rx" else z_phase_matrix
+    return rotation(g.phase.radians)
 
 
 def circuit_matrix(c: Circuit, max_width: int = 12) -> np.ndarray:

@@ -55,7 +55,8 @@ def _tolerance(args) -> float:
 
 def _load_matrix(path: str, cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     """A .zxc file goes through the gate-matrix oracle, a .zxg through
-    diagram evaluation with intermediate tensors of at most ``cap`` entries."""
+    diagram evaluation with every tensor, the result included, of at most
+    ``cap`` entries."""
     if path.endswith(".zxc"):
         return circuit_matrix(load_circuit(path))
     return evaluate(_load_diagram(path), max_entries=cap)
@@ -162,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("file")
     pe.add_argument(
         "--cap", type=int, default=DEFAULT_ENTRY_CAP,
-        help="entry cap on intermediate tensors when contracting a .zxg (at least 1); "
+        help="entry cap on every tensor when contracting a .zxg, the result included "
+        "(at least 1); "
         "a .zxc goes through the gate-matrix oracle and ignores it",
     )
     pe.set_defaults(func=_cmd_eval)

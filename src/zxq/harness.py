@@ -65,6 +65,23 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def fail(self, case: str, inputs: str, residual: float) -> None:
+        self.failures.append(CaseFailure(case, inputs, residual, self.seed))
+
+    def tally(self, label: str, measure: str, case: str, outcomes) -> None:
+        """Count each ``(value, ok, witness)`` of ``outcomes`` as one case
+        whose value may raise the worst one; a case not ``ok`` fails as
+        ``case`` with ``witness()`` as its inputs.  The witness is called
+        only then, and before the next outcome is drawn, so it may read the
+        generator's current locals.  Adds the line ``label: max_measure``."""
+        worst = 0.0
+        for value, ok, witness in outcomes:
+            self.cases += 1
+            worst = max(worst, value)
+            if not ok:
+                self.fail(case, witness(), value)
+        self.lines.append(f"{label}: max_{measure} {worst:.3e}")
+
     def render_body(self) -> str:
         out = [f"campaign: {self.campaign}", f"seed: {self.seed}", f"cases: {self.cases}"]
         out.extend(self.lines)
@@ -267,33 +284,24 @@ RULE_SAMPLERS = {
 }
 
 
-def verify_rules(
-    seed: int = 0,
-    samples: int = 100,
-    tol: float = DEFAULT_TOL,
-    rules: dict | None = None,
-) -> VerificationReport:
+def verify_rules(seed: int = 0, samples: int = 100, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Soundness campaign: every registered rule, ``samples`` random
     instantiations each, semantic equality up to scalar."""
     t0 = time.perf_counter()
-    registry = rules if rules is not None else rw.RULES
     rep = VerificationReport("rules", seed)
     rep.lines.append(f"samples_per_rule: {samples}")
     rng = random.Random(seed)
-    for name in sorted(registry):
-        rule = registry[name]
-        sampler = RULE_SAMPLERS[name]
-        worst = 0.0
+
+    def outcomes(name):
+        rule, sampler = rw.RULES[name], RULE_SAMPLERS[name]
         for i in range(samples):
             d, site = sampler(rng)
             out = rule.apply(d, site)
-            verdict = equal_up_to_scalar(evaluate(d), evaluate(out), tol)
-            rep.cases += 1
-            worst = max(worst, verdict.residual)
-            if not verdict.equal:
-                witness = f"{name}[{i}] site={site} diagram={d.digest()}"
-                rep.failures.append(CaseFailure(f"rule {name}", witness, verdict.residual, seed))
-        rep.lines.append(f"rule {name}: max_residual {worst:.3e}")
+            v = equal_up_to_scalar(evaluate(d), evaluate(out), tol)
+            yield v.residual, v.equal, lambda: f"{name}[{i}] site={site} diagram={d.digest()}"
+
+    for name in sorted(rw.RULES):
+        rep.tally(f"rule {name}", "residual", f"rule {name}", outcomes(name))
     rep.wall_time = time.perf_counter() - t0
     return rep
 
@@ -309,9 +317,8 @@ def verify_relations(tol: float = DEFAULT_TOL) -> VerificationReport:
     for fx in selinger_bian_fixtures():
         ml, mr = circuit_matrix(fx.lhs), circuit_matrix(fx.rhs)
         vm = equal_up_to_scalar(ml, mr, tol)
-        dl = evaluate(circuit_to_diagram(fx.lhs))
-        dr = evaluate(circuit_to_diagram(fx.rhs))
-        vd = equal_up_to_scalar(dl, dr, tol)
+        gl, gr = circuit_to_diagram(fx.lhs), circuit_to_diagram(fx.rhs)
+        vd = equal_up_to_scalar(evaluate(gl), evaluate(gr), tol)
         rep.cases += 1
         line = (
             f"relation {fx.id:2d}: matrix_residual {vm.residual:.3e} "
@@ -321,18 +328,14 @@ def verify_relations(tol: float = DEFAULT_TOL) -> VerificationReport:
             vi = equal_up_to_scalar(eye, ml, tol)
             line += f" scalar_vs_identity {vi.scalar:.6g}"
         else:
-            sl, trl = rw.simplify(circuit_to_diagram(fx.lhs))
-            sr, trr = rw.simplify(circuit_to_diagram(fx.rhs))
+            sl, trl = rw.simplify(gl)
+            sr, trr = rw.simplify(gr)
             vs = equal_up_to_scalar(evaluate(sl), evaluate(sr), tol)
             line += f" simplified_residual {vs.residual:.3e}"
             if not vs.equal or trl.truncated or trr.truncated:
-                rep.failures.append(
-                    CaseFailure(f"relation {fx.id} simplified", "fixture", vs.residual, 0)
-                )
+                rep.fail(f"relation {fx.id} simplified", "fixture", vs.residual)
         if not (vm.equal and vd.equal):
-            rep.failures.append(
-                CaseFailure(f"relation {fx.id}", "fixture", max(vm.residual, vd.residual), 0)
-            )
+            rep.fail(f"relation {fx.id}", "fixture", max(vm.residual, vd.residual))
         rep.lines.append(line)
     rep.wall_time = time.perf_counter() - t0
     return rep
@@ -367,94 +370,65 @@ def verify_p_formulas(seed: int = 0, samples: int = 1000, tol: float = DEFAULT_T
     rep.lines.append(f"samples: {samples}")
     rng = random.Random(seed)
 
-    worst = 0.0
-    for i in range(samples):
-        t = _draw_swappable(rng)
-        res = swap_residual(t, generalized_color_swap(t))
-        worst = max(worst, res)
-        rep.cases += 1
-        if res > tol:
-            rep.failures.append(CaseFailure("lemma identity", repr(t), res, seed))
-    rep.lines.append(f"swap_identity: max_residual {worst:.3e}")
+    def swap_identity():
+        for _ in range(samples):
+            t = _draw_swappable(rng)
+            res = swap_residual(t, generalized_color_swap(t))
+            yield res, not res > tol, lambda: repr(t)
 
-    worst = 0.0
-    for i in range(samples):
-        t = EulerTriple(*(Phase.approx(rng.uniform(0, TWO_PI)) for _ in range(3)))
-        out = p_rule_angles(t)
-        v = equal_up_to_scalar(zxz_matrix(t), xzx_matrix(out), tol)
-        worst = max(worst, v.residual)
-        rep.cases += 1
-        if not v.equal:
-            rep.failures.append(CaseFailure("recomposition", repr(t.radians), v.residual, seed))
-    rep.lines.append(f"recomposition: max_residual {worst:.3e}")
+    def recomposition():
+        for _ in range(samples):
+            t = EulerTriple(*(Phase.approx(rng.uniform(0, TWO_PI)) for _ in range(3)))
+            v = equal_up_to_scalar(zxz_matrix(t), xzx_matrix(p_rule_angles(t)), tol)
+            yield v.residual, v.equal, lambda: repr(t.radians)
 
-    worst = 0.0
-    for i in range(samples):
-        t = EulerTriple(*(Phase.approx(rng.uniform(0, TWO_PI)) for _ in range(3)))
-        if degenerate_case(t) is not None:
-            continue
-        out = p_rule_angles(t)
-        ext = euler_xzx_extract(zxz_matrix(t))
-        d = max(circular_distance(a, b) for a, b in zip(out.radians, ext.radians))
-        worst = max(worst, d)
-        rep.cases += 1
-        if d > 1e-7:
-            rep.failures.append(CaseFailure("oracle consistency", repr(t.radians), d, seed))
-    rep.lines.append(f"oracle_consistency: max_angle_gap {worst:.3e}")
+    def oracle_consistency():
+        for _ in range(samples):
+            t = EulerTriple(*(Phase.approx(rng.uniform(0, TWO_PI)) for _ in range(3)))
+            if degenerate_case(t) is not None:
+                continue
+            out = p_rule_angles(t)
+            ext = euler_xzx_extract(zxz_matrix(t))
+            gap = max(circular_distance(a, b) for a, b in zip(out.radians, ext.radians))
+            yield gap, not gap > 1e-7, lambda: repr(t.radians)
 
     # constrained families stay off the degenerate sets: the ~1e-16 float
     # error in the angle constraint enters arg(z1) amplified by 1/|z1|
-    def _constrained(rng, sign):
-        while True:
-            a, b = rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)
-            t = EulerTriple(Phase.approx(a), Phase.approx(b), Phase.approx(sign * a))
-            if degenerate_case(t) is None and abs(chain_parameters(t)[1]) > 1e-5:
-                return a, b, t
+    def outer_gaps(sign, shift):
+        for _ in range(max(200, samples // 5)):
+            while True:
+                a, b = rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)
+                t = EulerTriple(Phase.approx(a), Phase.approx(b), Phase.approx(sign * a))
+                if degenerate_case(t) is None and abs(chain_parameters(t)[1]) > 1e-5:
+                    break
+            out = p_rule_angles(t)
+            gap = circular_distance(out.alpha.radians, shift + out.gamma.radians)
+            yield gap, not gap > tol, lambda: repr((a, b))
 
-    n_special = max(200, samples // 5)
-    worst = 0.0
-    for i in range(n_special):
-        a, b, t = _constrained(rng, +1)
-        out = p_rule_angles(t)
-        gap = circular_distance(out.alpha.radians, out.gamma.radians)
-        worst = max(worst, gap)
-        rep.cases += 1
-        if gap > tol:
-            rep.failures.append(CaseFailure("equal outer angles", repr((a, b)), gap, seed))
-    rep.lines.append(f"equal_outer_angles: max_gap {worst:.3e}")
+    # a triple routed to the wrong pathway fails, but is not a case
+    def degenerate(fam, mk):
+        for _ in range(max(50, samples // 10)):
+            t = EulerTriple(
+                *(Phase.approx(x) for x in mk(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)))
+            )
+            if degenerate_case(t) != fam:
+                rep.fail(f"degenerate routing {fam}", repr(t.radians), 1.0)
+                continue
+            v = equal_up_to_scalar(zxz_matrix(t), xzx_matrix(p_rule_angles(t)), tol)
+            yield v.residual, v.equal, lambda: repr(t.radians)
 
-    worst = 0.0
-    for i in range(n_special):
-        a, b, t = _constrained(rng, -1)
-        out = p_rule_angles(t)
-        gap = circular_distance(out.alpha.radians, math.pi + out.gamma.radians)
-        worst = max(worst, gap)
-        rep.cases += 1
-        if gap > tol:
-            rep.failures.append(CaseFailure("opposite outer angles", repr((a, b)), gap, seed))
-    rep.lines.append(f"opposite_outer_angles: max_gap {worst:.3e}")
-
+    rep.tally("swap_identity", "residual", "lemma identity", swap_identity())
+    rep.tally("recomposition", "residual", "recomposition", recomposition())
+    rep.tally("oracle_consistency", "angle_gap", "oracle consistency", oracle_consistency())
+    rep.tally("equal_outer_angles", "gap", "equal outer angles", outer_gaps(+1, 0.0))
+    rep.tally("opposite_outer_angles", "gap", "opposite outer angles", outer_gaps(-1, math.pi))
     families = {
         "beta1=0": lambda a, g: (a, 0.0, g),
         "z1=0": lambda a, g: (a, math.pi, a),
         "z=0": lambda a, g: (a, math.pi, (a + math.pi) % TWO_PI),
     }
     for fam, mk in families.items():
-        worst = 0.0
-        for i in range(max(50, samples // 10)):
-            t = EulerTriple(
-                *(Phase.approx(x) for x in mk(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)))
-            )
-            if degenerate_case(t) != fam:
-                rep.failures.append(CaseFailure(f"degenerate routing {fam}", repr(t.radians), 1.0, seed))
-                continue
-            out = p_rule_angles(t)
-            v = equal_up_to_scalar(zxz_matrix(t), xzx_matrix(out), tol)
-            worst = max(worst, v.residual)
-            rep.cases += 1
-            if not v.equal:
-                rep.failures.append(CaseFailure(f"degenerate {fam}", repr(t.radians), v.residual, seed))
-        rep.lines.append(f"degenerate_{fam}: max_residual {worst:.3e}")
+        rep.tally(f"degenerate_{fam}", "residual", f"degenerate {fam}", degenerate(fam, mk))
 
     rep.wall_time = time.perf_counter() - t0
     return rep

@@ -26,8 +26,8 @@ diagram, whose vertices come in gate order, its peak stays near twice the
 width, where greedy's depends on the gate sequence.  Greedy is kept unless
 its peak is above the fold's, which one pass over the labels gives, and only
 then are the fold's steps built.  Every step's rank is known before any
-work, so a step above the entry cap raises :class:`ResourceLimitError`
-before any contraction.
+work, as is the result's, so a step or a result above the entry cap raises
+:class:`ResourceLimitError` before any contraction.
 
 The tensors left once no wire joins two of them (one per connected piece)
 are multiplied out in creation order, starting from the first, and the
@@ -256,19 +256,20 @@ def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
 def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     """The matrix denoted by ``d``, shape (2^outputs, 2^inputs).
 
-    Raises :class:`ResourceLimitError`, before any contraction, if a vertex
-    or a step of the chosen plan needs more than ``max_entries`` entries;
-    the message names the vertex's degree or the rank of the plan's first
-    step above the cap."""
+    Raises :class:`ResourceLimitError`, before any contraction, if a vertex,
+    a step of the chosen plan or the result needs more than ``max_entries``
+    entries; the message names the vertex's degree, or the rank of the
+    plan's first step above the cap and else the result's."""
     d.validate()
     tensors = _wire_tensors(d, max_entries)
     labels = [lbs for _, lbs in tensors]
     steps = _plan_greedy(labels, _fold_peak(labels))
     if steps is None:
         steps = _plan_fold(labels)
-    for _, _, _, out in steps:
-        if 2 ** len(out) > max_entries:
-            raise ResourceLimitError(f"contraction needs a tensor of 2^{len(out)} entries")
+    # the product of the pieces left after the plan has the result's rank
+    for rank in [len(out) for *_, out in steps] + [d.n_inputs + d.n_outputs]:
+        if 2**rank > max_entries:
+            raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
     return _open_legs_matrix(d, _execute(tensors, steps))
 
 

@@ -36,6 +36,13 @@ def test_eval_diagram_matches_circuit(files, capsys):
     assert got_diagram == got_circuit
 
 
+def test_eval_cap_bounds_the_result(files, capsys):
+    diagram_io.save(identity_diagram(3), str(files / "id3.zxg"))
+    assert cli_main(["eval", str(files / "id3.zxg"), "--cap", "16"]) == 2
+    assert capsys.readouterr().err == "error: contraction needs a tensor of 2^6 entries\n"
+    assert cli_main(["eval", str(files / "id3.zxg"), "--cap", "64"]) == 0
+
+
 def test_check_equal(files):
     assert cli_main(["check", str(files / "cnotcnot.zxc"), str(files / "id2.zxc")]) == 0
 

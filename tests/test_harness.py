@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from zxq import harness
+from zxq.diagram import Diagram
 from zxq.harness import (
     RULE_SAMPLERS,
     random_clifford_t_circuit,
@@ -35,24 +37,50 @@ def test_rules_campaign_seed_changes_cases():
     assert a.render_body() != b.render_body()
 
 
-def test_corrupted_rule_is_named_with_witness():
+def test_corrupted_rule_is_named_with_witness(monkeypatch):
+    rule = RULES["N"]
+
     def broken_pi(d, site):
         # forgets to negate the spider phase
         p, v = site
-        out = RULES["N"].apply(d, site)
+        out = rule.apply(d, site)
         for w in out.spiders():
             if w == v and w in out:
                 out.set_phase(w, d.phase(v))
         return out
 
-    rules = dict(RULES)
-    rules["N"] = dataclasses.replace(RULES["N"], apply=broken_pi)
-    rep = verify_rules(seed=3, samples=30, rules=rules)
+    monkeypatch.setitem(RULES, "N", dataclasses.replace(rule, apply=broken_pi))
+    rep = verify_rules(seed=3, samples=30)
     assert not rep.passed
     assert any(f.case == "rule N" for f in rep.failures)
     assert any("site=" in f.inputs for f in rep.failures)
     body = rep.render_body()
     assert "result: FAIL" in body
+
+
+def test_passing_rules_campaign_takes_no_digest(monkeypatch):
+    # a witness is built only for a failing case
+    calls = []
+    real = Diagram.digest
+    monkeypatch.setattr(Diagram, "digest", lambda d: calls.append(1) or real(d))
+    assert verify_rules(seed=5, samples=10).passed
+    assert calls == []
+
+
+def test_degenerate_routing_failure_is_reported_but_not_counted(monkeypatch):
+    # every degenerate triple is sent to the next family's pathway
+    real = harness.degenerate_case
+    shifted = {"beta1=0": "z1=0", "z1=0": "z=0", "z=0": "beta1=0"}
+    monkeypatch.setattr(harness, "degenerate_case", lambda t: shifted.get(real(t), real(t)))
+    samples, families = 100, ("beta1=0", "z1=0", "z=0")
+    rep = verify_p_formulas(seed=4, samples=samples)
+    assert [f.case for f in rep.failures] == [
+        f"degenerate routing {fam}" for fam in families for _ in range(max(50, samples // 10))
+    ]
+    assert all(f.residual == 1.0 and f.seed == 4 for f in rep.failures)
+    assert rep.cases == 3 * samples + 2 * max(200, samples // 5)
+    for fam in families:
+        assert f"degenerate_{fam}: max_residual 0.000e+00" in rep.lines
 
 
 def test_relations_campaign_passes():

@@ -257,6 +257,9 @@ def _reference_contract(tensors, max_entries):
 def reference_evaluate(d, max_entries=DEFAULT_ENTRY_CAP):
     d.validate()
     tensors = _reference_contract(_wire_tensors(d, max_entries), max_entries)
+    rank = d.n_inputs + d.n_outputs
+    if 2**rank > max_entries:
+        raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
     return _open_legs_matrix(d, tensors)
 
 
@@ -401,6 +404,16 @@ def test_resource_limit_at_the_same_caps_as_reference(monkeypatch):
     assert any(m.startswith("vertex") for m in messages)
     assert any(m.startswith("contraction") for m in messages)
     assert isinstance(got[-1], bytes)
+
+
+@pytest.mark.parametrize("width, cap", [(11, DEFAULT_ENTRY_CAP), (3, 2**4)])
+def test_resource_limit_bounds_the_product_of_pieces(width, cap, monkeypatch):
+    # bare wires need no plan step, but their product has 2^(2w) entries
+    ranks = record_tensordot(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=rf"tensor of 2\^{2 * width} entries"):
+        evaluate(identity_diagram(width), max_entries=cap)
+    assert ranks == []
+    assert evaluate(identity_diagram(3), max_entries=2**6).tobytes() == np.eye(8, dtype=complex).tobytes()
 
 
 def test_long_two_qubit_circuit_matches_oracle():
