@@ -18,10 +18,10 @@ on the nose.
 
 :func:`simplify` takes its step budget and its ``full`` switch as
 keywords.  It runs the core rules to a fixpoint without rescanning the
-diagram for each step: one heap per core rule holds the sites where it
-matches, and after each rewrite only the sites around the vertices in
-the diagram's touched-vertex log are checked again.  It takes the same
-steps, in the same order, as a rescan of every rule's ``find`` would.
+diagram: one heap of the sites where core rules match is fed only from
+the diagram's touched-vertex log, and a speculative trial starts from the
+vertices its move touched.  It takes the same steps, in the same order,
+as a rescan of every rule's ``find`` would.
 
 The registry holds the fifteen named rules.  Rules whose right-to-left
 reading is canonical also carry a reverse orientation; readings that
@@ -104,6 +104,10 @@ def _wires_at(d: Diagram, vs) -> set[Site]:
             if d.self_loops(v):
                 sites.add((v, v))
     return sites
+
+
+# the core rules' candidate enumerators, each with its form local to some vertices
+_LOCAL = {_spiders: _spiders_at, _wires: _wires_at}
 
 
 def _chain_sites(d: Diagram) -> list[Site]:
@@ -508,8 +512,11 @@ class Orientation:
         self.transform(d, site)
 
     def apply(self, d: Diagram, site: Site) -> Diagram:
-        """The value-semantic form of :meth:`rewrite`: rewrite a copy."""
+        """The value-semantic form of :meth:`rewrite`: rewrite a copy.  The
+        copy's touched-vertex log is switched on first, so the copy comes
+        back with the log on, holding exactly what the rewrite changed."""
         out = d.copy()
+        out.take_touched()
         self.rewrite(out, site)
         return out
 
@@ -522,7 +529,8 @@ class RewriteRule:
     ``find`` and ``apply`` default to the forward orientation's own.  They
     are the rule's seams: the speculative pass of :func:`simplify` and the
     rule campaign call them, so ``dataclasses.replace`` may swap them for
-    a wrapped callable that counts or times those calls.
+    a wrapped callable that counts or times those calls and returns what
+    the original returns (a trial reads the log of ``apply``'s copy).
     """
 
     name: str
@@ -635,52 +643,36 @@ class RewriteTrace:
         return g
 
 
-class _CoreWorklist:
-    """The sites where the core rules match on one diagram, one heap per
-    rule of :data:`CORE_SEQUENCE`.
+def _core_matches(d: Diagram, seeds) -> Iterator[tuple[RewriteRule, Site]]:
+    """Yield the first rule of :data:`CORE_SEQUENCE` that matches on ``d``,
+    with its first site, until none does; the caller rewrites ``d`` between
+    yields, with its touched-vertex log on.
 
-    A heap starts as its rule's ``find`` list, which is sorted, so it pops
-    sites in the order ``find`` lists them.  A core predicate reads only
-    its site's vertices and the wires between them, and every change to
-    those is in the diagram's touched-vertex log.  So after a rewrite it
-    is enough to push the sites that hold a touched vertex and match now:
-    each heap still holds every site where its rule matches, plus stale
-    sites, which are dropped when they reach the top.  The first match is
-    then the one a rescan of every rule's ``find`` would return.
+    One heap of ``(rule index, site)`` is fed only from the sites around
+    ``seeds`` and then around each rewrite's logged vertices.  A core
+    predicate reads only its site's vertices and the wires between them,
+    and every change to those is logged.  So when every matching site holds
+    a seed (all vertices, or what one move touched on a core fixpoint), the
+    heap holds every matching site, plus stale ones dropped at the top, and
+    its top is the step a rescan of every rule's ``find`` would take.
     """
-
-    _LOCAL = {_spiders: _spiders_at, _wires: _wires_at}
-
-    def __init__(self, d: Diagram) -> None:
-        self.d = d
-        self.rules = [RULES[name] for name in CORE_SEQUENCE]
-        d.take_touched()
-        self.heaps = [rule.forward.find(d) for rule in self.rules]
-
-    def _push(self, vs) -> None:
-        d = self.d
+    rules = [RULES[name] for name in CORE_SEQUENCE]
+    heap: list[tuple[int, Site]] = []
+    while True:
         local: dict = {}
-        for rule, heap in zip(self.rules, self.heaps):
-            candidates, matches = rule.forward.candidates, rule.forward.matches
-            if candidates not in local:
-                local[candidates] = self._LOCAL[candidates](d, vs)
-            for site in local[candidates]:
-                if matches(d, site):
-                    heappush(heap, site)
-
-    def first_match(self) -> Optional[tuple[RewriteRule, Site]]:
-        """The first rule in :data:`CORE_SEQUENCE` that matches and its
-        first site, or None.  The site has just been checked, so the
-        caller may run the rule's forward transform on it directly."""
-        d = self.d
-        self._push(d.take_touched())
-        for rule, heap in zip(self.rules, self.heaps):
-            matches = rule.forward.matches
-            while heap and not matches(d, heap[0]):
-                heappop(heap)
-            if heap:
-                return rule, heap[0]
-        return None
+        for i, o in enumerate(rule.forward for rule in rules):
+            if o.candidates not in local:
+                local[o.candidates] = _LOCAL[o.candidates](d, seeds)
+            for site in local[o.candidates]:
+                if o.matches(d, site):
+                    heappush(heap, (i, site))
+        while heap and not rules[heap[0][0]].forward.matches(d, heap[0][1]):
+            heappop(heap)
+        if not heap:
+            return
+        i, site = heap[0]
+        yield rules[i], site
+        seeds = d.take_touched()
 
 
 def diagram_cost(d: Diagram) -> tuple[int, int, int]:
@@ -705,10 +697,11 @@ def simplify(
 
     The core pass rewrites one working diagram in place; only each
     speculative move works on a copy, which a rejected move discards.
-    It does not rescan the diagram for each step: a worklist of core
-    sites, fed from the diagram's touched-vertex log, gives the first
-    match of the first core rule that has one, the step a rescan of every
-    rule's ``find`` would take.
+    It does not rescan the diagram: one heap of core sites, seeded with
+    every vertex and then fed from the diagram's touched-vertex log, gives
+    the step a rescan of every rule's ``find`` would take.  A trial's copy
+    comes from ``rule.apply`` with its log on, holding what the move
+    touched, and that seeds the trial's core pass.
     """
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
@@ -718,19 +711,18 @@ def simplify(
     budget = step_budget
     truncated = False
 
-    def run_core(g: Diagram, acc: list) -> None:
+    def run_core(g: Diagram, seeds, acc: list) -> None:
         nonlocal budget, truncated
-        work = _CoreWorklist(g)
-        while (m := work.first_match()) is not None:
+        for rule, site in _core_matches(g, seeds):
             if budget <= 0:
                 truncated = True
                 return
-            rule, site = m
             rule.forward.transform(g, site)
             acc.append(RewriteStep(rule.name, site, rule.scalar_free))
             budget -= 1
 
-    run_core(cur, steps)
+    cur.take_touched()
+    run_core(cur, cur.vertices(), steps)
 
     while full and not truncated:
         base = diagram_cost(cur)
@@ -743,7 +735,7 @@ def simplify(
             budget -= 1
             trial = rule.apply(cur, site)
             tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
-            run_core(trial, tsteps)
+            run_core(trial, trial.take_touched(), tsteps)
             if diagram_cost(trial) < base:
                 cur = trial
                 steps.extend(tsteps)

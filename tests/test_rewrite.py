@@ -543,7 +543,9 @@ def test_rewrite_in_place_matches_copying_apply(seed):
                 out = apply(d, s)
                 assert d.digest() == before, name
                 g = d.copy()
+                g.take_touched()
                 assert rewrite(g, s) is None
+                assert out.take_touched() == g.take_touched(), name
                 assert g.digest() == out.digest(), name
                 checked[name] += 1
     assert all(checked.values()), checked
@@ -749,10 +751,8 @@ def test_worklist_takes_the_steps_of_the_rescan(budget, full):
             assert not trace.truncated and step_budget >= len(trace.steps) > 10
 
 
-def test_core_simplify_match_calls_grow_linearly(monkeypatch):
-    """Core simplify asks the core predicates a number of times linear in
-    the circuit: 4x the gates may cost at most 6x the calls (a rescan per
-    step costs about 16x)."""
+def _count_core_matches(monkeypatch):
+    """A list that gets one entry per call of a core rule's predicate."""
     import dataclasses
 
     calls = []
@@ -766,6 +766,14 @@ def test_core_simplify_match_calls_grow_linearly(monkeypatch):
         forward = dataclasses.replace(rule.forward, matches=counted)
         counting = dataclasses.replace(rule, forward=forward, find=None, apply=None)
         monkeypatch.setitem(RULES, name, counting)
+    return calls
+
+
+def test_core_simplify_match_calls_grow_linearly(monkeypatch):
+    """Core simplify asks the core predicates a number of times linear in
+    the circuit: 4x the gates may cost at most 6x the calls (a rescan per
+    step costs about 16x)."""
+    calls = _count_core_matches(monkeypatch)
     counts = []
     for n in (600, 2400):
         d = _ladder_circuit(4, n)
@@ -773,6 +781,37 @@ def test_core_simplify_match_calls_grow_linearly(monkeypatch):
         simplify(d)
         counts.append(len(calls))
     assert counts[1] <= 6 * counts[0], counts
+
+
+def test_speculative_trials_match_only_around_their_move(monkeypatch):
+    """A ``--full`` trial's core pass starts from the sites its move
+    touched, not from the whole diagram: 8x the gates may cost at most 2x
+    the core predicate calls per trial (a rescan per trial costs about
+    8x)."""
+    import dataclasses
+
+    calls = _count_core_matches(monkeypatch)
+    trials = []
+    for name in OPTIONAL_SEQUENCE:
+        rule = RULES[name]
+
+        def apply(g, site, _apply=rule.apply):
+            trials.append(1)
+            return _apply(g, site)
+
+        monkeypatch.setitem(RULES, name, dataclasses.replace(rule, apply=apply))
+    per_trial = []
+    for n in (60, 480):
+        d = _ladder_circuit(3, n)
+        calls.clear()
+        simplify(d)
+        core = len(calls)
+        calls.clear()
+        trials.clear()
+        simplify(d, full=True)
+        assert trials
+        per_trial.append((len(calls) - core) / len(trials))
+    assert per_trial[1] <= 2 * per_trial[0], per_trial
 
 
 def test_speculative_pass_calls_the_rule_seams(monkeypatch):
