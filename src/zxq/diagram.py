@@ -14,13 +14,13 @@ exclusively held instance.  There is no shared global state.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
 from collections import Counter
-from typing import Iterator, NamedTuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .phase import Phase
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class VertexKind:
@@ -253,7 +253,9 @@ class Diagram:
 
     @property
     def n_edges(self) -> int:
-        return sum(m for _, _, m in self.edges())
+        # a wire between two vertices is counted at both ends, a self-loop once
+        total = sum(sum(c.values()) + c.get(v, 0) for v, c in self._adj.items())
+        return total // 2
 
     @property
     def spider_count(self) -> int:
@@ -405,6 +407,8 @@ class Diagram:
         return tags
 
     def _to_networkx(self) -> "nx.Graph":
+        import networkx as nx
+
         g = nx.Graph()
         for v, tag in self._tags().items():
             g.add_node(v, tag=tag, wl=_wl_token(tag))
@@ -420,6 +424,8 @@ class Diagram:
         """
         if self.signature != other.signature or self.n_vertices != other.n_vertices:
             return False
+        import networkx as nx
+
         return nx.is_isomorphic(
             self._to_networkx(),
             other._to_networkx(),
@@ -432,18 +438,20 @@ class Diagram:
 
         A 4-round Weisfeiler-Lehman hash: each round a vertex's label
         becomes the hash of its own label followed by the sorted
-        ``f"{mult}{label}"`` of its neighbours (self-loops included), and
-        the sorted label counts of every round are hashed together.  It
-        equals ``nx.weisfeiler_lehman_graph_hash(self._to_networkx(),
-        edge_attr="mult", node_attr="wl", iterations=4)[:8]``.
+        ``f"{mult}{label}"`` of its neighbours (self-loops included).  The
+        labels equal networkx's ``weisfeiler_lehman_subgraph_hashes`` of
+        ``self._to_networkx()`` with ``edge_attr="mult", node_attr="wl"``.
+        Each round's labels, read as 128-bit integers, are summed mod
+        2^128, and the digest hashes the four sums.
 
         While the touched-vertex log is on (see :meth:`take_touched`),
-        the diagram keeps each round's labels and label counts between
-        calls.  A later call relabels only the logged vertices at round 1,
-        widened by one hop per round from the labels that changed, so the
-        value is the same as labelling everything again.  A change to the
-        port lists does label everything again.  With the log off, the
-        call labels everything and keeps nothing.
+        the diagram keeps each round's labels and sum between calls.  A
+        later call relabels only the logged vertices at round 1, widened by
+        one hop per round from the labels that changed, and moves each sum
+        by the labels it replaced, so the value is the same as labelling
+        everything again.  A change to the port lists does label
+        everything again.  With the log off, the call labels everything and
+        keeps nothing.
         """
         ports = (tuple(self._inputs), tuple(self._outputs))
         wl, dirty = self._wl, self._touched
@@ -469,19 +477,21 @@ class _WLCache:
     """The Weisfeiler-Lehman labels of one diagram, round by round.
 
     ``labels[0]`` holds the vertex tokens and ``labels[r]`` the labels of
-    round r.  For rounds 1 to 4, ``counts`` maps each label to how many
-    vertices carry it, and ``pieces`` is the sorted list of each label's
-    ``repr`` piece of the digest's input, ``('<label>', <count>)``.
+    round r, which equal ``nx.weisfeiler_lehman_subgraph_hashes(
+    d._to_networkx(), edge_attr="mult", node_attr="wl", iterations=4)``.
+    ``sums[r - 1]`` is the sum mod 2^128 of round r's labels read as
+    128-bit integers: an additive multiset hash (Clarke et al.,
+    "Incremental Multiset Hash Functions", 2003) that a relabelling
+    updates by the labels it changed.
     """
 
-    __slots__ = ("ports", "port_tags", "labels", "counts", "pieces")
+    __slots__ = ("ports", "port_tags", "labels", "sums")
 
     def __init__(self, ports: tuple, port_tags: dict[int, tuple]) -> None:
         self.ports = ports
         self.port_tags = port_tags
         self.labels: list[dict[int, str]] = [{} for _ in range(WL_ROUNDS + 1)]
-        self.counts: list[dict[str, int]] = [{} for _ in range(WL_ROUNDS)]
-        self.pieces: list[list[str]] = [[] for _ in range(WL_ROUNDS)]
+        self.sums = [0] * WL_ROUNDS
 
     def relabel(self, d: Diagram, touched: set[int]) -> None:
         """Bring every round up to date after the vertices in ``touched``
@@ -498,13 +508,13 @@ class _WLCache:
                     changed.add(v)
             elif prev.pop(v, None) is not None:
                 changed.add(v)
-        for labels, counts, pieces in zip(self.labels[1:], self.counts, self.pieces):
+        for r, labels in enumerate(self.labels[1:]):
             dirty = touched | changed
             for v in changed:
                 if v in adj:
                     dirty.update(adj[v])
             changed = set()
-            gained, lost = [], []
+            total = self.sums[r]
             for v in dirty:
                 old = labels.get(v)
                 if v in adj:
@@ -513,60 +523,21 @@ class _WLCache:
                     if new == old:
                         continue
                     labels[v] = new
-                    gained.append(new)
+                    total += int(new, 16)
                 elif old is None:
                     continue
                 else:
                     del labels[v]
                 if old is not None:
-                    lost.append(old)
+                    total -= int(old, 16)
                 changed.add(v)
-            _recount(counts, pieces, gained, lost)
+            self.sums[r] = total % (1 << 128)
             prev = labels
 
     def digest(self) -> str:
-        """The hash of ``str(tuple(counts))``, where counts are the sorted
-        ``(label, count)`` pairs of rounds 1 to 4.  Labels are unique per
-        round and of one length, so the pieces sort as the pairs do.  A
-        nonempty diagram has at least four pairs, so the tuple never takes
-        the one-element form ``(x,)``.  The rounds are hashed one at a
-        time, so only one round's text is built at once."""
-        h = hashlib.blake2b(b"(", digest_size=16)
-        sep = b""
-        for pieces in self.pieces:
-            if pieces:
-                h.update(sep)
-                h.update(", ".join(pieces).encode("ascii"))
-                sep = b", "
-        h.update(b")")
-        return h.hexdigest()[:8]
-
-
-def _recount(counts: dict[str, int], pieces: list[str], gained: list[str], lost: list[str]) -> None:
-    """Count one round's ``gained`` labels in and its ``lost`` ones out,
-    keeping ``pieces`` sorted: one sort when the round had no labels yet,
-    else a bisection per label whose count changed."""
-    before: dict[str, int] = {}
-    for label in gained:
-        n = counts.get(label, 0)
-        before.setdefault(label, n)
-        counts[label] = n + 1
-    for label in lost:
-        n = counts[label]
-        before.setdefault(label, n)
-        counts[label] = n - 1
-    if not pieces:
-        pieces.extend(sorted([f"('{label}', {n})" for label, n in counts.items()]))
-        return
-    for label, n in before.items():
-        m = counts[label]
-        if m != n:
-            if n:
-                del pieces[bisect_left(pieces, f"('{label}', {n})")]
-            if m:
-                insort(pieces, f"('{label}', {m})")
-            else:
-                del counts[label]
+        """The hash of the four round sums, written in decimal and joined
+        by commas."""
+        return _wl_hash(",".join(map(str, self.sums)))[:8]
 
 
 def _wl_hash(label: str) -> str:

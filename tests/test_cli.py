@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,17 @@ def test_eval_resource_cap(files, capsys):
     wide = files / "wide.zxg"
     diagram_io.save(spider_diagram(VertexKind.Z, Phase.zero(), 0, 12), str(wide))
     assert cli_main(["eval", str(wide), "--cap", "16"]) == 2
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only Diagram.iso_equal needs networkx, and it imports it on its first call
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import zxq.cli, sys; assert 'networkx' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr

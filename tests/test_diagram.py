@@ -210,6 +210,7 @@ def test_iso_equal_is_equivalence(d):
     assert d2.iso_equal(d) and d.iso_equal(d2)
     assert d2.iso_equal(d3) and d.iso_equal(d3)  # transitive on the sampled triple
     assert d.digest() == d2.digest() == d3.digest()
+    assert d.n_edges == d3.n_edges == sum(m for *_, m in d.edges())
 
 
 @settings(max_examples=25, deadline=None)
@@ -289,15 +290,26 @@ def test_phase_only_on_spiders():
         d.add_vertex(VertexKind.H, Phase.zero())
 
 
-# -- digest: the direct WL hash against networkx's ------------------------------
+# -- digest: the direct WL hash against networkx's labels ------------------------
 
 
 def nx_digest(d: Diagram) -> str:
+    """The digest from networkx's per-vertex WL labels, each computed from
+    scratch: the sum mod 2^128 of every round's labels, then the same
+    final hash."""
+    import hashlib
+
     import networkx as nx
 
-    return nx.weisfeiler_lehman_graph_hash(
-        d._to_networkx(), edge_attr="mult", node_attr="wl", iterations=4
-    )[:8]
+    per_vertex = nx.weisfeiler_lehman_subgraph_hashes(
+        d._to_networkx(), edge_attr="mult", node_attr="wl", iterations=4, digest_size=16
+    )
+    sums = [0] * 4
+    for labels in per_vertex.values():
+        for r, label in enumerate(labels):
+            sums[r] = (sums[r] + int(label, 16)) % 2**128
+    text = ",".join(map(str, sums)).encode("ascii")
+    return hashlib.blake2b(text, digest_size=16).hexdigest()[:8]
 
 
 def _hand_built_diagrams() -> dict:

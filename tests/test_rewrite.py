@@ -1,9 +1,11 @@
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zxq.diagram
 from zxq.circuits import parse_circuit, circuit_to_diagram
 from zxq.diagram import Diagram, VertexKind, identity_diagram, spider_diagram
 from zxq.phase import Phase
@@ -509,6 +511,48 @@ def test_strict_replay_checks_the_final_digest():
     trace.final = identity_diagram(3)
     with pytest.raises(RuleMatchError):
         trace.replay()
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` and counts the bytes passed to
+    ``blake2b(...)`` and to its hashes' ``update(...)``."""
+
+    def __init__(self):
+        self.hashed = 0
+
+    def blake2b(self, data=b"", **kwargs):
+        self.hashed += len(data)
+        return _CountingHash(self, hashlib.blake2b(data, **kwargs))
+
+
+class _CountingHash:
+    def __init__(self, counter, h):
+        self._counter, self._h = counter, h
+
+    def update(self, data):
+        self._counter.hashed += len(data)
+        self._h.update(data)
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def test_trace_export_hashes_only_what_each_step_touched(monkeypatch):
+    """Exporting a trace hashes, per step, about what the step touched,
+    not the whole diagram: 8x the gates may cost at most 2x the bytes per
+    step (hashing every state's whole label counts costs about 6x)."""
+    counting = _CountingHashlib()
+    monkeypatch.setattr(zxq.diagram, "hashlib", counting)
+    per_step = []
+    for n in (300, 2400):
+        _, trace = simplify(_ladder_circuit(4, n))
+        counting.hashed = 0
+        trace.initial.digest()  # the full labelling the export starts with
+        initial = counting.hashed
+        counting.hashed = 0
+        trace.export_lines()
+        per_step.append((counting.hashed - initial) / len(trace.steps))
+    assert per_step[1] <= 2 * per_step[0], per_step
 
 
 # -- in-place transforms behind the copying apply -----------------------------------
