@@ -14,7 +14,6 @@ exclusively held instance.  There is no shared global state.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .phase import Phase
@@ -67,7 +66,7 @@ class Diagram:
     def __init__(self) -> None:
         self._kinds: dict[int, str] = {}
         self._phases: dict[int, Phase] = {}
-        self._adj: dict[int, Counter] = {}
+        self._adj: dict[int, dict[int, int]] = {}
         self._inputs: list[int] = []
         self._outputs: list[int] = []
         self._next_id = 0
@@ -90,7 +89,7 @@ class Diagram:
         v = self._next_id
         self._next_id += 1
         self._kinds[v] = kind
-        self._adj[v] = Counter()
+        self._adj[v] = {}
         if phase is not None:
             self._phases[v] = phase
         if self._touched is not None:
@@ -179,30 +178,32 @@ class Diagram:
     def add_edge(self, u: int, v: int, count: int = 1) -> None:
         if u not in self._kinds or v not in self._kinds:
             raise InvalidDiagramError("edge endpoint does not exist")
-        if count <= 0:
-            raise ValueError("edge count must be positive")
-        self._adj[u][v] += count
-        if u != v:
-            self._adj[v][u] += count
-        if self._touched is not None:
-            self._touched.update((u, v))
+        self._rewire(u, v, count, 1)
 
     def remove_edge(self, u: int, v: int, count: int = 1) -> None:
-        if self._adj[u][v] < count:
+        self._rewire(u, v, count, -1)
+
+    def _rewire(self, u: int, v: int, count: int, sign: int) -> None:
+        """The one writer of wire counts: add (``sign`` 1) or remove (-1)
+        ``count`` wires between ``u`` and ``v``.  A count is stored at both
+        ends (a self-loop's once) and dropped when it reaches 0; both ends
+        go on the touched-vertex log."""
+        if count <= 0:
+            raise ValueError("edge count must be positive")
+        new = (self._adj[u].get(v, 0) if u in self._adj else 0) + sign * count
+        if new < 0:
             raise InvalidDiagramError(f"no such edge ({u}, {v}) x{count}")
-        self._adj[u][v] -= count
-        if self._adj[u][v] == 0:
-            del self._adj[u][v]
-        if u != v:
-            self._adj[v][u] -= count
-            if self._adj[v][u] == 0:
-                del self._adj[v][u]
+        for a, b in {u: v, v: u}.items():
+            if new:
+                self._adj[a][b] = new
+            else:
+                del self._adj[a][b]
         if self._touched is not None:
             self._touched.update((u, v))
 
     def edge_mult(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v (loops if u == v)."""
-        return self._adj[u][v]
+        return self._adj[u].get(v, 0)
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, multiplicity) with u <= v, sorted."""
@@ -241,11 +242,12 @@ class Diagram:
             self.add_edge(*ends)
 
     def self_loops(self, v: int) -> int:
-        return self._adj[v][v]
+        return self._adj[v].get(v, 0)
 
     def degree(self, v: int) -> int:
         """Number of incident edge ends; a self-loop contributes two."""
-        return sum(m for w, m in self._adj[v].items() if w != v) + 2 * self._adj[v][v]
+        adj = self._adj[v]
+        return sum(adj.values()) + adj.get(v, 0)
 
     @property
     def n_vertices(self) -> int:
@@ -253,9 +255,7 @@ class Diagram:
 
     @property
     def n_edges(self) -> int:
-        # a wire between two vertices is counted at both ends, a self-loop once
-        total = sum(sum(c.values()) + c.get(v, 0) for v, c in self._adj.items())
-        return total // 2
+        return sum(map(self.degree, self._adj)) // 2
 
     @property
     def spider_count(self) -> int:
@@ -293,7 +293,7 @@ class Diagram:
         d = Diagram()
         d._kinds = dict(self._kinds)
         d._phases = dict(self._phases)
-        d._adj = {v: Counter(c) for v, c in self._adj.items()}
+        d._adj = {v: dict(c) for v, c in self._adj.items()}
         d._inputs = list(self._inputs)
         d._outputs = list(self._outputs)
         d._next_id = self._next_id
@@ -306,10 +306,7 @@ class Diagram:
         d = Diagram()
         d._kinds = {mapping[v]: k for v, k in self._kinds.items()}
         d._phases = {mapping[v]: p for v, p in self._phases.items()}
-        d._adj = {
-            mapping[v]: Counter({mapping[w]: m for w, m in c.items()})
-            for v, c in self._adj.items()
-        }
+        d._adj = {mapping[v]: {mapping[w]: m for w, m in c.items()} for v, c in self._adj.items()}
         d._inputs = [mapping[v] for v in self._inputs]
         d._outputs = [mapping[v] for v in self._outputs]
         d._next_id = max(mapping.values(), default=-1) + 1

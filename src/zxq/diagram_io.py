@@ -60,7 +60,7 @@ def _parse_phase(raw: Any, where: str) -> Phase:
         if type(raw["rad"]) not in (int, float):
             raise ZxgFormatError(f"{where}: rad must be a number")
         try:
-            return Phase.approx(float(raw["rad"]))
+            return Phase.approx(raw["rad"])
         except ValueError as e:
             raise ZxgFormatError(f"{where}: {e}") from None
     raise ZxgFormatError(f"{where}: phase needs keys num/den or rad")

@@ -36,7 +36,10 @@ class Phase:
         if self.frac is not None:
             object.__setattr__(self, "frac", self.frac % 2)
         else:
-            r = float(self.rad)
+            try:
+                r = float(self.rad)
+            except OverflowError:  # an integer too large for a float
+                r = math.inf
             if not math.isfinite(r):
                 raise ValueError(f"radian phase must be finite, got {r!r}")
             r %= TWO_PI
@@ -52,7 +55,7 @@ class Phase:
     @classmethod
     def approx(cls, radians: float) -> "Phase":
         """A plain radian phase, normalised into [0, 2*pi)."""
-        return cls(rad=float(radians))
+        return cls(rad=radians)
 
     @classmethod
     def zero(cls) -> "Phase":

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -45,6 +46,14 @@ def test_eval_cap_bounds_the_result(files, capsys):
     assert cli_main(["eval", str(files / "id3.zxg"), "--cap", "16"]) == 2
     assert capsys.readouterr().err == "error: contraction needs a tensor of 2^6 entries\n"
     assert cli_main(["eval", str(files / "id3.zxg"), "--cap", "64"]) == 0
+
+
+def test_eval_rejects_a_radian_phase_too_large_for_a_float(files, capsys):
+    node = {"id": "s", "kind": "Z", "phase": {"rad": 10**400}}
+    doc = {"inputs": [], "outputs": [], "nodes": [node], "edges": []}
+    (files / "big.zxg").write_text(json.dumps(doc))
+    assert cli_main(["eval", str(files / "big.zxg")]) == 2
+    assert capsys.readouterr().err == "error: nodes[0]: radian phase must be finite, got inf\n"
 
 
 def test_check_equal(files):

@@ -281,6 +281,29 @@ def test_degree_counts_self_loops_twice():
     assert d.neighbors(v) != [v]
 
 
+@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize("method", ["add_edge", "remove_edge"])
+def test_wire_count_below_one_is_rejected_and_changes_nothing(method, count):
+    d = Diagram()
+    a, b = d.add_vertex(VertexKind.Z), d.add_vertex(VertexKind.Z)
+    d.add_edge(a, b)
+    d.take_touched()
+    with pytest.raises(ValueError, match="edge count must be positive"):
+        getattr(d, method)(a, b, count)
+    assert list(d.edges()) == [(a, b, 1)]
+    assert d.take_touched() == set()
+
+
+def test_remove_edge_at_a_missing_vertex_is_no_such_edge():
+    d = Diagram()
+    a = d.add_vertex(VertexKind.Z)
+    d.take_touched()
+    for u, v in ((99, a), (a, 99)):
+        with pytest.raises(InvalidDiagramError, match="no such edge"):
+            d.remove_edge(u, v)
+    assert list(d.edges()) == [] and d.take_touched() == set()
+
+
 def test_phase_only_on_spiders():
     d = Diagram()
     h = d.add_vertex(VertexKind.H)
@@ -381,7 +404,14 @@ def test_digest_matches_networkx_on_circuits_and_rule_results():
 @settings(max_examples=40, deadline=None)
 @given(small_diagrams())
 def test_digest_matches_networkx_on_random_diagrams(d):
-    assert d.digest() == nx_digest(d)
+    edges, n_edges, digest = list(d.edges()), d.n_edges, d.digest()
+    assert digest == nx_digest(d)
+    # reads never create wires, and no stored count is 0
+    vs = d.vertices()
+    for u in vs:
+        assert d.degree(u) == sum(d.edge_mult(u, v) for v in vs) + d.self_loops(u)
+    assert (list(d.edges()), d.n_edges, d.digest()) == (edges, n_edges, digest)
+    assert all(m > 0 for c in d._adj.values() for m in c.values())
 
 
 # -- incremental digest: the same value as labelling afresh --------------------------

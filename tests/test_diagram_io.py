@@ -83,6 +83,7 @@ def test_malformed_json_reports_position():
         (lambda doc: doc["nodes"][2].__setitem__("phase", {"num": 1}), "phase needs keys"),
         (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": float("nan")}), "finite"),
         (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": float("inf")}), "finite"),
+        (lambda doc: doc["nodes"][2].__setitem__("phase", {"rad": 10**400}), "finite"),
         (lambda doc: doc.pop("edges"), "missing or non-list"),
         (lambda doc: doc["inputs"].append("s"), "not of kind"),
         (lambda doc: doc["edges"].append([["a"], "a"]), r"edges\[2\]: unknown endpoint"),
