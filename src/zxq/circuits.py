@@ -234,11 +234,16 @@ def _unitary(g: Gate) -> np.ndarray:
     return rotation(g.phase.radians)
 
 
-def circuit_matrix(c: Circuit, max_width: int = 12) -> np.ndarray:
+#: the widest circuit the oracle multiplies out: its matrix is 2^w x 2^w
+ORACLE_MAX_WIDTH = 12
+
+
+def circuit_matrix(c: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries (the diagram-free oracle), each
-    applied to its own qubit axes of the identity (see the module doc)."""
-    if c.width > max_width:
-        raise ValueError(f"width {c.width} exceeds the cap of {max_width}")
+    applied to its own qubit axes of the identity (see the module doc).  A
+    circuit wider than :data:`ORACLE_MAX_WIDTH` raises ``ValueError``."""
+    if c.width > ORACLE_MAX_WIDTH:
+        raise ValueError(f"width {c.width} exceeds the cap of {ORACLE_MAX_WIDTH}")
     n = 2**c.width
     state = np.eye(n, dtype=complex).reshape((2,) * c.width + (n,))
     for g in c.gates:
@@ -253,7 +258,7 @@ def circuit_matrix(c: Circuit, max_width: int = 12) -> np.ndarray:
 def gate_matrix(gate: Gate, width: int | None = None) -> np.ndarray:
     """Standard unitary of one gate on ``width`` qubits, qubit 0 = MSB."""
     w = width if width is not None else max(gate.qubits) + 1
-    return circuit_matrix(Circuit(w, (gate,)), max_width=w)
+    return circuit_matrix(Circuit(w, (gate,)))
 
 
 # -- the 2-qubit relation corpus ------------------------------------------------
@@ -316,9 +321,10 @@ def export_fixtures(directory: str) -> list[str]:
     os.makedirs(directory, exist_ok=True)
     written = []
     for name in fixture_asset_names():
+        text = _read_asset(name)  # a missing asset leaves no empty file behind
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as f:
-            f.write(_read_asset(name))
+            f.write(text)
         written.append(path)
     return written
 

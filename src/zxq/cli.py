@@ -2,8 +2,8 @@
 
 Subcommands: ``eval``, ``check``, ``simplify``, ``euler``, ``verify``,
 ``fixtures``.  Exit codes: 0 success, 1 verification or equivalence
-failure, 2 usage/parse errors.  ``ZXQ_TOL`` overrides the default
-tolerance; ``--tol`` overrides both.
+failure, 2 usage/parse errors and missing or corrupt fixture assets.
+``ZXQ_TOL`` overrides the default tolerance; ``--tol`` overrides both.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import diagram_io
 from .circuits import (
+    FixtureError,
     ZxcSyntaxError,
     circuit_matrix,
     circuit_to_diagram,
@@ -214,7 +215,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        UsageError, ZxcSyntaxError, ZxgFormatError, ValueError, OSError, ResourceLimitError
+        UsageError, ZxcSyntaxError, ZxgFormatError, FixtureError, ValueError, OSError,
+        ResourceLimitError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

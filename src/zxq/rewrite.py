@@ -17,11 +17,12 @@ nonzero scalar; ``scalar_free`` marks the ones that preserve the matrix
 on the nose.
 
 :func:`simplify` takes its step budget and its ``full`` switch as
-keywords.  It runs the core rules to a fixpoint without rescanning the
-diagram: one heap of the sites where core rules match is fed only from
-the diagram's touched-vertex log, and a speculative trial starts from the
-vertices its move touched.  It takes the same steps, in the same order,
-as a rescan of every rule's ``find`` would.
+keywords.  One function runs every core pass, the first one and each
+speculative trial's: it matches, rewrites and spends the budget without
+rescanning the diagram.  Its one heap of the sites where core rules match
+is fed only from the diagram's touched-vertex log, and a trial's pass
+starts from the vertices its move touched.  It takes the same steps, in
+the same order, as a rescan of every rule's ``find`` would.
 
 The registry holds the fifteen named rules.  Rules whose right-to-left
 reading is canonical also carry a reverse orientation; readings that
@@ -589,7 +590,6 @@ OPTIONAL_SEQUENCE = ("H2", "P")
 class RewriteStep:
     rule: str
     site: Site
-    scalar_free: bool
 
 
 @dataclass
@@ -643,10 +643,12 @@ class RewriteTrace:
         return g
 
 
-def _core_matches(d: Diagram, seeds) -> Iterator[tuple[RewriteRule, Site]]:
-    """Yield the first rule of :data:`CORE_SEQUENCE` that matches on ``d``,
-    with its first site, until none does; the caller rewrites ``d`` between
-    yields, with its touched-vertex log on.
+def _run_core(d: Diagram, seeds, steps: list, budget: int) -> int:
+    """Rewrite ``d`` in place with the first rule of :data:`CORE_SEQUENCE`
+    that matches, at its first site, until none does or ``budget`` is spent;
+    ``d``'s touched-vertex log must be on.  Each rewrite appends its step to
+    ``steps`` and costs one unit.  Returns the budget left, negative if a
+    match was left when it ran out.
 
     One heap of ``(rule index, site)`` is fed only from the sites around
     ``seeds`` and then around each rewrite's logged vertices.  A core
@@ -669,9 +671,13 @@ def _core_matches(d: Diagram, seeds) -> Iterator[tuple[RewriteRule, Site]]:
         while heap and not rules[heap[0][0]].forward.matches(d, heap[0][1]):
             heappop(heap)
         if not heap:
-            return
+            return budget
+        budget -= 1
+        if budget < 0:
+            return budget
         i, site = heap[0]
-        yield rules[i], site
+        rules[i].forward.transform(d, site)
+        steps.append(RewriteStep(rules[i].name, site))
         seeds = d.take_touched()
 
 
@@ -695,47 +701,33 @@ def simplify(
     applications and must be positive; exhausting it while work is left
     returns the best diagram so far with the trace marked truncated.
 
-    The core pass rewrites one working diagram in place; only each
+    The first core pass rewrites one working diagram in place; only each
     speculative move works on a copy, which a rejected move discards.
-    It does not rescan the diagram: one heap of core sites, seeded with
-    every vertex and then fed from the diagram's touched-vertex log, gives
-    the step a rescan of every rule's ``find`` would take.  A trial's copy
-    comes from ``rule.apply`` with its log on, holding what the move
-    touched, and that seeds the trial's core pass.
+    Every core pass is one call of :func:`_run_core`, which shares the
+    budget: the first is seeded with every vertex, a trial's with what its
+    move touched (its copy comes from ``rule.apply`` with its log on).  The
+    run is truncated when the budget ran out with work left, that is when
+    it went negative.
     """
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
     initial = d.copy()
     cur = d.copy()
-    steps: list[RewriteStep] = []
-    budget = step_budget
-    truncated = False
-
-    def run_core(g: Diagram, seeds, acc: list) -> None:
-        nonlocal budget, truncated
-        for rule, site in _core_matches(g, seeds):
-            if budget <= 0:
-                truncated = True
-                return
-            rule.forward.transform(g, site)
-            acc.append(RewriteStep(rule.name, site, rule.scalar_free))
-            budget -= 1
-
     cur.take_touched()
-    run_core(cur, cur.vertices(), steps)
+    steps: list[RewriteStep] = []
+    budget = _run_core(cur, cur.vertices(), steps, step_budget)
 
-    while full and not truncated:
+    while full and budget >= 0:
         base = diagram_cost(cur)
         # H2's moves, then P's; P's find runs only once every H2 move failed
         moves = ((r, s) for r in map(RULES.get, OPTIONAL_SEQUENCE) for s in r.find(cur))
         for rule, site in moves:
-            if budget <= 0:
-                truncated = True
-                break
             budget -= 1
+            if budget < 0:
+                break
             trial = rule.apply(cur, site)
-            tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
-            run_core(trial, trial.take_touched(), tsteps)
+            tsteps = [RewriteStep(rule.name, site)]
+            budget = _run_core(trial, trial.take_touched(), tsteps, budget)
             if diagram_cost(trial) < base:
                 cur = trial
                 steps.extend(tsteps)
@@ -744,4 +736,4 @@ def simplify(
             break
 
     cur.stop_touched()  # nothing reads the log any more
-    return cur, RewriteTrace(initial, steps, cur.copy(), truncated)
+    return cur, RewriteTrace(initial, steps, cur.copy(), budget < 0)

@@ -95,20 +95,14 @@ def _spider_tensor(kind: str, phase: Phase, degree: int) -> np.ndarray:
 
 
 def _trace_duplicates(t: np.ndarray, labels: list) -> tuple[np.ndarray, list]:
-    # self-loops put the same wire label on two axes of one tensor
-    while True:
-        seen: dict = {}
-        dup = None
-        for i, lb in enumerate(labels):
-            if lb in seen:
-                dup = (seen[lb], i)
-                break
-            seen[lb] = i
-        if dup is None:
-            return t, labels
-        i, j = dup
+    # self-loops put the same wire label on two axes of one tensor; each
+    # pass traces the first repeated label at its two positions
+    while len(set(labels)) < len(labels):
+        j = next(j for j, lb in enumerate(labels) if labels.index(lb) < j)
+        i = labels.index(labels[j])
         t = np.trace(t, axis1=i, axis2=j)
         labels = [lb for k, lb in enumerate(labels) if k not in (i, j)]
+    return t, labels
 
 
 def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]:

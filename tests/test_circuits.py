@@ -139,7 +139,10 @@ def test_circuit_matrix_examples():
 
 def test_circuit_matrix_width_cap():
     with pytest.raises(ValueError, match="cap"):
-        circuit_matrix(Circuit(13, ()), max_width=12)
+        circuit_matrix(Circuit(13, ()))
+    # gate_matrix goes through the same cap, before any 2^13-square identity
+    with pytest.raises(ValueError, match="cap"):
+        gate_matrix(Gate("h", (0,)), 13)
 
 
 # -- the axis-wise oracle against the kron-embedding one it replaced ----------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from zxq import diagram_io
+from zxq.circuits import FixtureError
 from zxq.cli import cli_main
 from zxq.diagram import VertexKind, identity_diagram, spider_diagram
 from zxq.phase import Phase
@@ -217,6 +218,22 @@ def test_fixtures_export(tmp_path, capsys):
     rc = cli_main(["fixtures", "export", str(tmp_path / "fx")])
     assert rc == 0
     assert len(list((tmp_path / "fx").iterdir())) == 34
+
+
+@pytest.mark.parametrize("command", [["verify", "relations"], ["fixtures", "export", "fx"]])
+def test_missing_fixture_asset_exits_two(command, tmp_path, monkeypatch, capsys):
+    import zxq.circuits as mod
+
+    def boom(name):
+        raise FixtureError(f"missing fixture asset {name!r}")
+
+    monkeypatch.setattr(mod, "_read_asset", boom)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing fixture asset 'rel01_lhs.zxc'\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_usage_errors_exit_two(files, capsys):

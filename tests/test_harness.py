@@ -148,6 +148,20 @@ def test_scalar_free_marks_exactly_the_exact_rules(name):
         assert off, name
 
 
+def test_scalar_free_flag_separates_the_rules_by_a_wide_margin():
+    # the flag is the only record of exactness: a flagged rule keeps the
+    # scalar at 1 up to rounding, an unflagged one moves it by more than 0.1
+    # on some sample (seed 3 shows every unflagged rule within 6 samples)
+    for name, rule in sorted(RULES.items()):
+        rng, off = random.Random(3), 0.0
+        for _ in range(30):
+            d, site = RULE_SAMPLERS[name](rng)
+            k = equal_up_to_scalar(evaluate(d), evaluate(rule.apply(d, site))).scalar
+            if k is not None:  # None: both sides are the zero map
+                off = max(off, abs(k - 1))
+        assert off <= 1e-9 if rule.scalar_free else off > 0.1, (name, off)
+
+
 def test_pi_sampler_instantiates_quarter_phases():
     # the campaign must exercise pi/4 phases on the commuted spider
     rng = random.Random(1)

@@ -719,7 +719,7 @@ def _reference_simplify(d, step_budget=10_000, full=False):
                 return
             rule, site = m
             rule.forward.rewrite(g, site)
-            acc.append(RewriteStep(rule.name, site, rule.scalar_free))
+            acc.append(RewriteStep(rule.name, site))
             budget -= 1
 
     run_core(cur, steps)
@@ -736,7 +736,7 @@ def _reference_simplify(d, step_budget=10_000, full=False):
                     break
                 budget -= 1
                 trial = rule.apply(cur, site)
-                tsteps = [RewriteStep(rule.name, site, rule.scalar_free)]
+                tsteps = [RewriteStep(rule.name, site)]
                 run_core(trial, tsteps)
                 if diagram_cost(trial) < base:
                     cur = trial
