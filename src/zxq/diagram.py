@@ -61,7 +61,7 @@ def opposite(kind: str) -> str:
 class Diagram:
     """Mutable open multigraph; see the module docstring."""
 
-    __slots__ = ("_kinds", "_phases", "_adj", "_inputs", "_outputs", "_next_id", "_touched", "_wl")
+    __slots__ = ("_kinds", "_phases", "_adj", "_inputs", "_outputs", "_next_id", "_touched")
 
     def __init__(self) -> None:
         self._kinds: dict[int, str] = {}
@@ -70,11 +70,8 @@ class Diagram:
         self._inputs: list[int] = []
         self._outputs: list[int] = []
         self._next_id = 0
-        # the touched-vertex log: None until a reader switches it on, then
-        # the ids every mutator changed since the reader last took it
-        self._touched: set[int] | None = None
-        # digest()'s per-round WL labels, kept only while the log is on
-        self._wl: _WLCache | None = None
+        # the touched-vertex log, see take_touched
+        self._touched: set[int] = set()
 
     # -- vertices ----------------------------------------------------------
 
@@ -92,8 +89,7 @@ class Diagram:
         self._adj[v] = {}
         if phase is not None:
             self._phases[v] = phase
-        if self._touched is not None:
-            self._touched.add(v)
+        self._touched.add(v)
         return v
 
     def add_input(self) -> int:
@@ -110,16 +106,15 @@ class Diagram:
         for w in list(self._adj[v]):
             if w != v:
                 del self._adj[w][v]
-        if self._touched is not None:
-            self._touched.update(self._adj[v])
-            self._touched.add(v)
+        self._touched.update(self._adj[v])
+        self._touched.add(v)
         del self._adj[v]
         del self._kinds[v]
         self._phases.pop(v, None)
-        if v in self._inputs:
-            self._inputs.remove(v)
-        if v in self._outputs:
-            self._outputs.remove(v)
+        for ports in (self._inputs, self._outputs):
+            if v in ports:
+                self._touched.update(ports[ports.index(v):])  # the ports after v move down
+                ports.remove(v)
 
     def kind(self, v: int) -> str:
         return self._kinds[v]
@@ -128,8 +123,7 @@ class Diagram:
         if kind not in SPIDER_KINDS or self._kinds[v] not in SPIDER_KINDS:
             raise InvalidDiagramError("set_kind only swaps spider colours")
         self._kinds[v] = kind
-        if self._touched is not None:
-            self._touched.add(v)
+        self._touched.add(v)
 
     def phase(self, v: int) -> Phase:
         return self._phases[v]
@@ -138,8 +132,7 @@ class Diagram:
         if self._kinds[v] not in SPIDER_KINDS:
             raise InvalidDiagramError("only spiders carry phases")
         self._phases[v] = phase
-        if self._touched is not None:
-            self._touched.add(v)
+        self._touched.add(v)
 
     def is_spider(self, v: int) -> bool:
         return self._kinds[v] in SPIDER_KINDS
@@ -157,21 +150,15 @@ class Diagram:
         """The ids the mutators changed since the last call.
 
         That is every added or removed vertex, the neighbours a removal
-        detached, every recoloured or rephased spider and both ends of
-        every added or removed wire.  The first call switches the log on
-        and returns an empty set; :meth:`copy` never carries it.  The log
-        has one reader at a time, and :meth:`digest` reads it too, so
-        taking it drops the digest's cache.
+        detached, the ports a removal moved to a lower position, every
+        recoloured or rephased spider and both ends of every added or
+        removed wire.  A new diagram's log holds every vertex added to it;
+        :meth:`copy` starts an empty one.  The log has one reader at a
+        time; a :meth:`digest` given labels reads it too, and relabels
+        everything once another reader has taken it.
         """
-        touched = self._touched if self._touched is not None else set()
-        self._touched = set()
-        self._wl = None
+        touched, self._touched = self._touched, set()
         return touched
-
-    def stop_touched(self) -> None:
-        """Switch the touched-vertex log off, and with it the digest's cache."""
-        self._touched = None
-        self._wl = None
 
     # -- edges -------------------------------------------------------------
 
@@ -198,8 +185,7 @@ class Diagram:
                 self._adj[a][b] = new
             else:
                 del self._adj[a][b]
-        if self._touched is not None:
-            self._touched.update((u, v))
+        self._touched.update((u, v))
 
     def edge_mult(self, u: int, v: int) -> int:
         """Number of parallel edges between u and v (loops if u == v)."""
@@ -430,7 +416,7 @@ class Diagram:
             edge_match=lambda a, b: a["mult"] == b["mult"],
         )
 
-    def digest(self) -> str:
+    def digest(self, labels: _WLCache | None = None) -> str:
         """8-hex-char structural digest, invariant under relabelling.
 
         A 4-round Weisfeiler-Lehman hash: each round a vertex's label
@@ -441,23 +427,22 @@ class Diagram:
         Each round's labels, read as 128-bit integers, are summed mod
         2^128, and the digest hashes the four sums.
 
-        While the touched-vertex log is on (see :meth:`take_touched`),
-        the diagram keeps each round's labels and sum between calls.  A
-        later call relabels only the logged vertices at round 1, widened by
-        one hop per round from the labels that changed, and moves each sum
-        by the labels it replaced, so the value is the same as labelling
-        everything again.  A change to the port lists does label
-        everything again.  With the log off, the call labels everything and
-        keeps nothing.
+        Without ``labels`` the call labels every vertex, keeps nothing and
+        leaves the touched-vertex log (see :meth:`take_touched`) to its
+        reader.  A caller that digests state after state of one diagram
+        passes one ``_WLCache()`` each time and becomes the log's reader:
+        a call relabels only what the log gathered since the call before,
+        at round 1, widened by one hop per round from the labels that
+        changed, and moves each sum by the labels it replaced.  New labels,
+        labels of another diagram, or a log another reader took, make it
+        relabel everything.  Either way the value is that of a fresh one.
         """
-        ports = (tuple(self._inputs), tuple(self._outputs))
-        wl, dirty = self._wl, self._touched
-        if wl is None or wl.ports != ports:
-            wl, dirty = _WLCache(ports, self._port_tags()), set(self._kinds)
-        if self._touched is not None:
-            self._wl, self._touched = wl, set()
+        wl = labels or _WLCache()
+        dirty = self._touched if wl.log is self._touched else set(self._kinds).union(wl.labels[0])
+        if labels:
+            self._touched = labels.log = set()
         wl.relabel(self, dirty)
-        return wl.digest()
+        return _wl_hash(",".join(map(str, wl.sums)))[:8]
 
     def __repr__(self) -> str:
         return (
@@ -479,14 +464,14 @@ class _WLCache:
     ``sums[r - 1]`` is the sum mod 2^128 of round r's labels read as
     128-bit integers: an additive multiset hash (Clarke et al.,
     "Incremental Multiset Hash Functions", 2003) that a relabelling
-    updates by the labels it changed.
+    updates by the labels it changed.  ``log`` is the touched-vertex log
+    they last drained.
     """
 
-    __slots__ = ("ports", "port_tags", "labels", "sums")
+    __slots__ = ("log", "labels", "sums")
 
-    def __init__(self, ports: tuple, port_tags: dict[int, tuple]) -> None:
-        self.ports = ports
-        self.port_tags = port_tags
+    def __init__(self) -> None:
+        self.log: set[int] | None = None
         self.labels: list[dict[int, str]] = [{} for _ in range(WL_ROUNDS + 1)]
         self.sums = [0] * WL_ROUNDS
 
@@ -494,12 +479,12 @@ class _WLCache:
         """Bring every round up to date after the vertices in ``touched``
         changed.  A vertex is relabelled at round r when it is touched, or
         when it or a neighbour got a new label at round r - 1."""
-        adj = d._adj
+        adj, port_tags = d._adj, d._port_tags()
         prev = self.labels[0]
         changed = set()
         for v in touched:
             if v in adj:
-                token = _wl_token(self.port_tags.get(v) or d._kind_tag(v))
+                token = _wl_token(port_tags.get(v) or d._kind_tag(v))
                 if prev.get(v) != token:
                     prev[v] = token
                     changed.add(v)
@@ -530,11 +515,6 @@ class _WLCache:
                 changed.add(v)
             self.sums[r] = total % (1 << 128)
             prev = labels
-
-    def digest(self) -> str:
-        """The hash of the four round sums, written in decimal and joined
-        by commas."""
-        return _wl_hash(",".join(map(str, self.sums)))[:8]
 
 
 def _wl_hash(label: str) -> str:

@@ -5,7 +5,8 @@ The format is UTF-8 JSON with four keys:
 * ``inputs`` / ``outputs``: lists of node ids (strings), in port order;
 * ``nodes``: list of ``{"id", "kind", "phase"?}`` objects, ``kind`` one of
   ``"Z" | "X" | "H" | "in" | "out"``, ``phase`` either ``{"num", "den"}``
-  (an exact multiple of pi) or ``{"rad"}``, present exactly for spiders;
+  (an exact multiple of pi) or ``{"rad"}``, written for every spider
+  and only for spiders; a spider read without one gets phase 0;
 * ``edges``: list of ``[id, id]`` pairs; a repeated pair is a parallel edge.
 """
 

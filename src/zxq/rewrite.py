@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .diagram import Diagram, VertexKind, opposite
+from .diagram import Diagram, VertexKind, _WLCache, opposite
 from .phase import Phase
 from .phase_algebra import EulerTriple, p_rule_angles
 
@@ -513,11 +513,10 @@ class Orientation:
         self.transform(d, site)
 
     def apply(self, d: Diagram, site: Site) -> Diagram:
-        """The value-semantic form of :meth:`rewrite`: rewrite a copy.  The
-        copy's touched-vertex log is switched on first, so the copy comes
-        back with the log on, holding exactly what the rewrite changed."""
+        """The value-semantic form of :meth:`rewrite`: rewrite a copy.  A
+        copy starts an empty touched-vertex log, so the copy comes back
+        with a log that holds exactly what the rewrite changed."""
         out = d.copy()
-        out.take_touched()
         self.rewrite(out, site)
         return out
 
@@ -598,8 +597,8 @@ class RewriteTrace:
 
     No digest is taken while rewriting: :meth:`digests` replays the steps
     once, when an export first needs them, and keeps only the digests.
-    The replay rewrites one working copy, whose digest relabels only what
-    each step touched.
+    The replay rewrites one working copy and holds its digest's labels,
+    so each digest relabels only what the step before it touched.
     """
 
     initial: Diagram
@@ -611,10 +610,8 @@ class RewriteTrace:
     def _states(self) -> Iterator[Diagram]:
         """The initial diagram, then the diagram after each step.  One
         working copy is rewritten in place, so each state must be used
-        before the next one is asked for.  The copy's touched-vertex log
-        is on, so its digest keeps its labels from state to state."""
+        before the next one is asked for."""
         g = self.initial.copy()
-        g.take_touched()
         yield g
         for s in self.steps:
             RULES[s.rule].forward.rewrite(g, s.site)
@@ -623,7 +620,8 @@ class RewriteTrace:
     def digests(self) -> list[str]:
         """Digest of the initial diagram and of the state after each step."""
         if self._digests is None:
-            self._digests = [g.digest() for g in self._states()]
+            labels = _WLCache()
+            self._digests = [g.digest(labels) for g in self._states()]
         return self._digests
 
     def export_lines(self) -> list[str]:
@@ -645,10 +643,10 @@ class RewriteTrace:
 
 def _run_core(d: Diagram, seeds, steps: list, budget: int) -> int:
     """Rewrite ``d`` in place with the first rule of :data:`CORE_SEQUENCE`
-    that matches, at its first site, until none does or ``budget`` is spent;
-    ``d``'s touched-vertex log must be on.  Each rewrite appends its step to
-    ``steps`` and costs one unit.  Returns the budget left, negative if a
-    match was left when it ran out.
+    that matches, at its first site, until none does or ``budget`` is spent,
+    taking ``d``'s touched-vertex log after each rewrite.  Each rewrite
+    appends its step to ``steps`` and costs one unit.  Returns the budget
+    left, negative if a match was left when it ran out.
 
     One heap of ``(rule index, site)`` is fed only from the sites around
     ``seeds`` and then around each rewrite's logged vertices.  A core
@@ -705,15 +703,14 @@ def simplify(
     speculative move works on a copy, which a rejected move discards.
     Every core pass is one call of :func:`_run_core`, which shares the
     budget: the first is seeded with every vertex, a trial's with what its
-    move touched (its copy comes from ``rule.apply`` with its log on).  The
+    move touched (the log of the copy that ``rule.apply`` returns).  The
     run is truncated when the budget ran out with work left, that is when
-    it went negative.
+    it went negative.  The returned diagram's touched-vertex log is empty.
     """
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
     initial = d.copy()
     cur = d.copy()
-    cur.take_touched()
     steps: list[RewriteStep] = []
     budget = _run_core(cur, cur.vertices(), steps, step_budget)
 
@@ -735,5 +732,4 @@ def simplify(
         else:
             break
 
-    cur.stop_touched()  # nothing reads the log any more
     return cur, RewriteTrace(initial, steps, cur.copy(), budget < 0)

@@ -8,6 +8,7 @@ from zxq.diagram import (
     Diagram,
     InvalidDiagramError,
     VertexKind,
+    _WLCache,
     cap_diagram,
     cup_diagram,
     empty_diagram,
@@ -436,12 +437,13 @@ def test_incremental_digest_equals_a_fresh_one_along_traces(full):
         d = circuit_to_diagram(random_clifford_t_circuit(rng, width, 40 + 8 * seed))
         _, trace = simplify(d, full=full)
         stride = 1 + seed % 3  # several rewrites may come between two digests
+        labels = _WLCache()
         for i, g in enumerate(trace._states()):
             if i % stride == 0:
-                assert g.digest() == fresh_digest(g), (seed, i)
-                assert g._wl is not None  # the replay's copy keeps its labels
+                assert g.digest(labels) == fresh_digest(g), (seed, i)
+                assert labels.log is g._touched  # the next call reads only the log
                 states += 1
-        assert g.digest() == fresh_digest(g) == nx_digest(g)
+        assert g.digest(labels) == fresh_digest(g) == nx_digest(g)
     assert states > 100
 
 
@@ -460,12 +462,11 @@ def test_incremental_digest_after_every_orientation():
             for _ in range(4):
                 d, _ = RULE_SAMPLERS[name](rng)
                 for site in o.find(d)[:3]:
-                    g = d.copy()
-                    g.take_touched()  # keep the labels from one digest to the next
-                    g.digest()
+                    g, labels = d.copy(), _WLCache()
+                    g.digest(labels)
                     o.rewrite(g, site)
-                    assert g.digest() == fresh_digest(g), (name, site)
-                    assert g._wl is not None
+                    assert labels.log is g._touched  # the call reads only the log
+                    assert g.digest(labels) == fresh_digest(g), (name, site)
                     checked += 1
     assert checked > 100
 
@@ -475,8 +476,8 @@ def test_incremental_digest_follows_every_mutator():
     (s,) = d.spiders()
     x = d.add_vertex(VertexKind.X)
     d.add_edge(s, x)
-    d.take_touched()  # keep the labels from one digest to the next
-    d.digest()
+    labels = _WLCache()
+    d.digest(labels)
     edits = [
         lambda: d.set_phase(s, Phase.approx(0.25)),
         lambda: d.set_kind(x, VertexKind.Z),
@@ -493,13 +494,13 @@ def test_incremental_digest_follows_every_mutator():
     ]
     for i, edit in enumerate(edits):
         edit()
-        assert d.digest() == fresh_digest(d) == nx_digest(d), i
-        assert d._wl is not None
+        assert labels.log is d._touched, i  # the call reads only the log
+        assert d.digest(labels) == fresh_digest(d) == nx_digest(d), i
 
 
 def test_touched_log_and_digest_cache_stay_with_their_diagram():
     d = identity_diagram(2)
-    assert d.take_touched() == set()  # the first call switches the log on
+    assert d.take_touched() == set(d.vertices())  # a new diagram logs what it was built from
     z = d.add_vertex(VertexKind.Z)
     d.add_edge(z, d.inputs[0])
     assert d.take_touched() == {z, d.inputs[0]}
@@ -507,13 +508,24 @@ def test_touched_log_and_digest_cache_stay_with_their_diagram():
     d.remove_vertex(o)
     assert d.take_touched() == {o, i}  # the output and the input it was wired to
 
-    d.digest()
-    assert d._wl is not None and d._touched == set()
+    labels = _WLCache()
+    d.digest(labels)
     g = d.copy()
-    assert g._wl is None and g._touched is None
-    g.digest()  # a diagram with the log off keeps no labels
-    assert g._wl is None and g._touched is None
+    assert g.take_touched() == set()  # a copy starts an empty log
     d.set_phase(z, Phase.pi())
-    d.take_touched()  # the digest cannot see what another reader took
-    assert d._wl is None
-    assert d.digest() == fresh_digest(d) == nx_digest(d)
+    assert d.digest(labels) == fresh_digest(d)
+    # labels of another diagram, or labels whose log another reader took,
+    # relabel everything
+    assert g.digest(labels) == fresh_digest(g) == nx_digest(g)
+    g.set_phase(z, Phase.exact(1, 2))
+    g.take_touched()
+    assert g.digest(labels) == fresh_digest(g) == nx_digest(g)
+
+
+def test_digest_leaves_the_log_to_its_reader():
+    d = identity_diagram(1)
+    d.take_touched()
+    z = d.add_vertex(VertexKind.Z)
+    d.add_edge(z, z)
+    d.digest()
+    assert d.take_touched() == {z}

@@ -38,6 +38,15 @@ def test_rational_phase_format():
     assert d.phase(v) == Phase.exact(1, 4)
 
 
+def test_spider_without_a_phase_loads_as_zero():
+    doc = {"inputs": [], "outputs": [], "nodes": [{"id": "a", "kind": "Z"}], "edges": []}
+    d = deserialize(json.dumps(doc))
+    (v,) = d.spiders()
+    assert d.phase(v) == Phase.zero()
+    node = {"id": str(v), "kind": "Z", "phase": {"num": 0, "den": 1}}
+    assert json.loads(serialize(d))["nodes"] == [node]
+
+
 def test_parallel_edges_survive():
     doc = {
         "inputs": [],

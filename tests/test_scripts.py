@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,9 @@ def test_simplify_stats_runs(flag):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("circuits: 5 ")
+
+
+def test_readme_python_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
