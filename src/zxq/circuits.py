@@ -7,10 +7,14 @@ then one gate per line in application order (the first line acts first).
 
 This module owns the gate set: names, arities, diagram patterns and
 unitaries.  The diagram-free oracle :func:`circuit_matrix` holds the product
-so far as a ``(2,)*w + (2^w,)`` tensor, one axis per qubit (qubit 0 first,
-the most significant bit) plus the column index, and contracts each gate's
-2x2 or 4x4 matrix into that gate's own qubit axes with ``tensordot``: a
-gate costs O(4^w), where a dense 2^w x 2^w embedding would cost O(8^w).
+so far as a ``(2,)*w + (2^w,)`` tensor, one axis per qubit plus the column
+index last, and applies each gate's 2x2 or 4x4 matrix to that gate's own
+qubit axes only: a gate costs O(4^w), where a dense 2^w x 2^w embedding
+would cost O(8^w).  Each gate is one ``np.dot`` into a copy of the tensor
+transposed so that the gate's qubits lead and the others follow in qubit
+order (the operands ``tensordot`` would build); the axes are not moved
+back, but a list records which qubit each axis holds, and one transpose at
+the end puts qubit 0 first, as the most significant bit.
 """
 
 from __future__ import annotations
@@ -242,17 +246,20 @@ def circuit_matrix(c: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries (the diagram-free oracle), each
     applied to its own qubit axes of the identity (see the module doc).  A
     circuit wider than :data:`ORACLE_MAX_WIDTH` raises ``ValueError``."""
-    if c.width > ORACLE_MAX_WIDTH:
-        raise ValueError(f"width {c.width} exceeds the cap of {ORACLE_MAX_WIDTH}")
-    n = 2**c.width
-    state = np.eye(n, dtype=complex).reshape((2,) * c.width + (n,))
+    w = c.width
+    if w > ORACLE_MAX_WIDTH:
+        raise ValueError(f"width {w} exceeds the cap of {ORACLE_MAX_WIDTH}")
+    n = 2**w
+    shape = (2,) * w + (n,)
+    state = np.eye(n, dtype=complex).reshape(shape)
+    held = list(range(w))  # held[i]: the qubit on axis i; the column axis is last
     for g in c.gates:
-        qs = list(g.qubits)
-        k = len(qs)
-        u = _unitary(g).reshape((2,) * 2 * k)
-        state = np.tensordot(u, state, axes=(list(range(k, 2 * k)), qs))
-        state = np.moveaxis(state, list(range(k)), qs)
-    return state.reshape(n, n)
+        order = [*g.qubits, *(q for q in range(w) if q not in g.qubits)]
+        lead = state.transpose([held.index(q) for q in order] + [w])
+        u = _unitary(g)
+        state = np.dot(u, lead.reshape(len(u), -1)).reshape(shape)
+        held = order
+    return state.transpose([held.index(q) for q in range(w)] + [w]).reshape(n, n)
 
 
 def gate_matrix(gate: Gate, width: int | None = None) -> np.ndarray:

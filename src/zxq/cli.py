@@ -9,6 +9,7 @@ failure, 2 usage/parse errors and missing or corrupt fixture assets.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -156,7 +157,10 @@ def _cmd_fixtures(args) -> int:
 _TOL_HELP = "bound on the relative residual, finite and at least 0 (default 1e-9, or ZXQ_TOL)"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call: parsing keeps no
+    state in it, so each ``cli_main`` call sees only its own argv."""
     p = argparse.ArgumentParser(prog="zxq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -207,9 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -9,6 +9,7 @@ rational form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +49,10 @@ class Phase:
             object.__setattr__(self, "rad", r)
 
     @classmethod
+    @functools.lru_cache(maxsize=1024, typed=True)
     def exact(cls, num: int, den: int = 1) -> "Phase":
-        """The phase (num/den) * pi."""
+        """The phase (num/den) * pi.  Phases are frozen, so equal arguments
+        share one instance from a bounded cache; an error is not cached."""
         return cls(frac=Fraction(num, den))
 
     @classmethod

@@ -12,6 +12,7 @@ from zxq.circuits import (
     FixtureError,
     Gate,
     ZxcSyntaxError,
+    _unitary,
     circuit_matrix,
     circuit_to_diagram,
     export_fixtures,
@@ -266,6 +267,42 @@ def test_oracle_close_to_kron_reference_at_width_8():
         np.testing.assert_allclose(
             circuit_matrix(c), _reference_circuit_matrix(c), rtol=1e-12, atol=1e-12
         )
+
+
+# -- the tracked-axis oracle against the tensordot loop it replaced ---------------
+
+
+def _reference_tensordot_oracle(c):
+    """The previous oracle: per gate, ``tensordot`` into the gate's qubit axes,
+    then ``moveaxis`` back so that axis q holds qubit q again."""
+    n = 2**c.width
+    state = np.eye(n, dtype=complex).reshape((2,) * c.width + (n,))
+    for g in c.gates:
+        qs = list(g.qubits)
+        k = len(qs)
+        u = _unitary(g).reshape((2,) * 2 * k)
+        state = np.tensordot(u, state, axes=(list(range(k, 2 * k)), qs))
+        state = np.moveaxis(state, list(range(k)), qs)
+    return state.reshape(n, n)
+
+
+@pytest.mark.parametrize("width, count, max_gates", [(8, 3, 320), (9, 2, 120), (10, 2, 60)])
+def test_oracle_bit_identical_to_tensordot_loop(width, count, max_gates):
+    # the same dot products on the same operands, so the bits must match even
+    # where the kron reference only comes close
+    rng = random.Random(2000 + width)
+    for _ in range(count):
+        c = random_clifford_t_circuit(rng, width=width, max_gates=max_gates)
+        assert _same_bits(circuit_matrix(c), _reference_tensordot_oracle(c)), format_circuit(c)
+
+
+def test_oracle_bit_identical_to_tensordot_loop_on_every_gate_placement():
+    gates = list(_every_placement(5))
+    for g in gates:
+        one = Circuit(5, (g,))
+        assert _same_bits(circuit_matrix(one), _reference_tensordot_oracle(one)), g
+    c = Circuit(5, tuple(gates + gates[::-1]))
+    assert _same_bits(circuit_matrix(c), _reference_tensordot_oracle(c))
 
 
 def test_gate_validation():

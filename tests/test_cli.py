@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 from zxq import diagram_io
-from zxq.circuits import FixtureError
+from zxq.circuits import FixtureError, circuit_to_diagram, load_circuit
 from zxq.cli import cli_main
 from zxq.diagram import VertexKind, identity_diagram, spider_diagram
 from zxq.phase import Phase
+from zxq.rewrite import simplify
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "trace_3q.zxc"
 
 
 @pytest.fixture()
@@ -251,6 +254,36 @@ def test_usage_errors_exit_two(files, capsys):
     )
     assert cli_main(["eval", str(list_endpoint)]) == 2
     assert "edges[0]: unknown endpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "before, code",
+    [
+        (["frobnicate"], 2),
+        (["--help"], 0),
+        (["simplify", "{dir}/c.zxc", "-o", "{dir}/full.zxg", "--full", "--budget", "7"], 0),
+        (["check", "{dir}/t.zxc", "{dir}/s.zxc", "--tol", "1"], 0),
+    ],
+)
+def test_each_call_parses_only_its_own_argv(files, monkeypatch, capsys, before, code):
+    # cli_main reuses one parser: no earlier call may leave an option set.  On
+    # this circuit, --full and a budget of 7 each change the simplified diagram
+    src = files / "c.zxc"
+    src.write_text(GOLDEN.read_text() + "t 0\n" * 4)
+    core, _ = simplify(circuit_to_diagram(load_circuit(str(src))))
+    full, _ = simplify(circuit_to_diagram(load_circuit(str(src))), full=True)
+    core_text = diagram_io.serialize(core)
+    assert diagram_io.serialize(full) != core_text
+    assert cli_main([a.format(dir=files) for a in before]) == code
+    if before[0] == "simplify":
+        assert "budget exhausted" in capsys.readouterr().err
+        assert (files / "full.zxg").read_text() not in (core_text, diagram_io.serialize(full))
+    assert cli_main(["simplify", str(src), "-o", str(files / "core.zxg")]) == 0
+    assert (files / "core.zxg").read_text() == core_text
+    capsys.readouterr()
+    monkeypatch.setenv("ZXQ_TOL", "not-a-float")
+    assert cli_main(["check", str(files / "t.zxc"), str(files / "s.zxc")]) == 2
+    assert capsys.readouterr().err == "error: bad ZXQ_TOL value 'not-a-float'\n"
 
 
 def test_eval_resource_cap(files, capsys):

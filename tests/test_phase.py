@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zxq.circuits import circuit_to_diagram, parse_circuit
+from zxq.diagram import VertexKind
+from zxq.diagram_io import deserialize, serialize
 from zxq.phase import TWO_PI, Phase, circular_distance, parse_phase
 
 from .conftest import approx_phases, phases
@@ -87,6 +90,45 @@ def test_exactly_one_representation():
         Phase(frac=Fraction(1, 2), rad=0.3)
     with pytest.raises(ValueError):
         Phase()
+
+
+def test_interned_exact_phases_compare_as_before():
+    assert Phase.exact(3, 4) is Phase.exact(3, 4)
+    for p, num, den in [(Phase.exact(3, 4), 3, 4), (Phase.exact(-1, 4), 7, 4),
+                        (Phase.exact(4, 2), 0, 1), (Phase.zero(), 0, 1)]:
+        fresh = Phase(frac=Fraction(num, den))
+        assert p == fresh and hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh) == f"Phase.exact({num}, {den})"
+    assert Phase.exact(-1, 4) == Phase.exact(7, 4)
+    assert Phase.exact(1, 4) != Phase.approx(math.pi / 4)
+
+
+def test_exact_phase_errors_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            Phase.exact(1, 0)
+    # an equal key of another type is not served from the cache
+    assert Phase.exact(1, 4).frac == Fraction(1, 4)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            Phase.exact(1.0, 4)
+
+
+def test_exact_phase_cache_is_bounded():
+    size = Phase.exact.cache_info().maxsize
+    assert isinstance(size, int) and size > 0
+    for num in range(size + 10):
+        assert Phase.exact(num, 1 + size).frac == Fraction(num, 1 + size) % 2
+    assert Phase.exact.cache_info().currsize == size
+
+
+def test_zxg_round_trip_through_interned_phases_is_byte_identical():
+    c = parse_circuit("qubits 2\nrz 0 -1/4\nt 1\ncz 0 1\nrx 1 9/8\nsdg 0\nrz 1 f:0.25\n")
+    d = circuit_to_diagram(c)
+    d.add_vertex(VertexKind.X, Phase.exact(5, 3))
+    text = serialize(d)
+    assert serialize(deserialize(text)) == text
+    assert '"num": 7,\n        "den": 4' in text and '"rad": 0.25' in text
 
 
 @pytest.mark.parametrize("rad", [math.nan, math.inf, -math.inf])
