@@ -5,12 +5,12 @@ then one gate per line in application order (the first line acts first).
 ``#`` starts a comment.  Rotation phases are written ``p/d`` meaning
 (p/d)*pi, or ``f:<float>`` for plain radians (:func:`zxq.phase.parse_phase`).
 
-This module owns the gate set: names, arities, diagram patterns and
-unitaries.  The diagram-free oracle :func:`circuit_matrix` holds the product
-so far as a ``(2,)*w + (2^w,)`` tensor, one axis per qubit plus the column
-index last, and applies each gate's 2x2 or 4x4 matrix to that gate's own
-qubit axes only: a gate costs O(4^w), where a dense 2^w x 2^w embedding
-would cost O(8^w).  Each gate is one ``np.dot`` into a copy of the tensor
+This module owns the gate set, all of it in the one table :data:`GATES`.
+The diagram-free oracle :func:`circuit_matrix` holds the product so far
+as a ``(2,)*w + (2^w,)`` tensor, one axis per qubit plus the column index
+last, and applies each gate's 2x2 or 4x4 matrix to that gate's own qubit
+axes only: a gate costs O(4^w), where a dense 2^w x 2^w embedding would
+cost O(8^w).  Each gate is one ``np.dot`` into a copy of the tensor
 transposed so that the gate's qubits lead and the others follow in qubit
 order (the operands ``tensordot`` would build); the axes are not moved
 back, but a list records which qubit each axis holds, and one transpose at
@@ -29,19 +29,47 @@ from .phase import Phase, parse_phase
 from .phase_algebra import x_phase_matrix, z_phase_matrix
 from .semantics import HADAMARD
 
-GATE_ARITY = {
-    "h": 1, "t": 1, "tdg": 1, "s": 1, "sdg": 1, "z": 1, "x": 1,
-    "rz": 1, "rx": 1, "cnot": 2, "cz": 2, "swap": 2,
-}
-_PARAMETRIC = ("rz", "rx")
+_OMEGA = np.exp(1j * np.pi / 4)
 
-_FIXED_PHASES = {
-    "t": Phase.exact(1, 4),
-    "tdg": Phase.exact(7, 4),
-    "s": Phase.exact(1, 2),
-    "sdg": Phase.exact(3, 2),
-    "z": Phase.exact(1),
-    "x": Phase.exact(1),
+
+@dataclass(frozen=True)
+class GateSpec:
+    """One row of :data:`GATES`.  ``kind`` and ``phase`` are the vertex a
+    one-qubit gate puts on its wire; ``phase`` is None for an H-box and for
+    a rotation, which puts the gate's own phase there.  ``unitary`` is None
+    for a rotation, whose matrix comes from its phase."""
+
+    arity: int
+    kind: str | None
+    phase: Phase | None
+    unitary: np.ndarray | None
+
+    @property
+    def parametric(self) -> bool:
+        return self.unitary is None
+
+
+#: the gate set, in the order :func:`zxq.harness.random_clifford_t_circuit`
+#: draws names.  A two-qubit gate's first qubit is the most significant bit
+#: of its 4x4 matrix.  No entry holds a -0 (a literal ``-1j`` has one in its
+#: real part): a -0 can survive into a product's zero entries, and
+#: ``zxq eval`` prints it as ``-0``.
+GATES = {
+    name: GateSpec(arity, kind, phase, None if u is None else np.array(u, dtype=complex))
+    for name, (arity, kind, phase, u) in {
+        "h": (1, VertexKind.H, None, HADAMARD),
+        "t": (1, VertexKind.Z, Phase.exact(1, 4), [[1, 0], [0, _OMEGA]]),
+        "tdg": (1, VertexKind.Z, Phase.exact(7, 4), [[1, 0], [0, _OMEGA.conjugate()]]),
+        "s": (1, VertexKind.Z, Phase.exact(1, 2), [[1, 0], [0, 1j]]),
+        "sdg": (1, VertexKind.Z, Phase.exact(3, 2), [[1, 0], [0, complex(0, -1)]]),
+        "z": (1, VertexKind.Z, Phase.exact(1), [[1, 0], [0, -1]]),
+        "x": (1, VertexKind.X, Phase.exact(1), [[0, 1], [1, 0]]),
+        "cnot": (2, None, None, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+        "cz": (2, None, None, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+        "swap": (2, None, None, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+        "rz": (1, VertexKind.Z, None, None),
+        "rx": (1, VertexKind.X, None, None),
+    }.items()
 }
 
 
@@ -60,13 +88,14 @@ class Gate:
     phase: Phase | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in GATE_ARITY:
+        spec = GATES.get(self.name)
+        if spec is None:
             raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != GATE_ARITY[self.name]:
-            raise ValueError(f"{self.name} takes {GATE_ARITY[self.name]} qubit(s)")
+        if len(self.qubits) != spec.arity:
+            raise ValueError(f"{self.name} takes {spec.arity} qubit(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} qubits must be distinct")
-        if (self.phase is not None) != (self.name in _PARAMETRIC):
+        if (self.phase is not None) != spec.parametric:
             raise ValueError(f"phase mismatch for {self.name}")
 
 
@@ -108,27 +137,26 @@ def parse_circuit(text: str) -> Circuit:
                 raise ZxcSyntaxError(lineno, "qubit count must be positive")
             continue
         name = toks[0]
-        if name not in GATE_ARITY:
+        spec = GATES.get(name)
+        if spec is None:
             raise ZxcSyntaxError(lineno, f"unknown gate {name!r}")
-        arity = GATE_ARITY[name]
-        want = arity + (1 if name in _PARAMETRIC else 0)
+        want = spec.arity + spec.parametric
         if len(toks) - 1 != want:
             raise ZxcSyntaxError(lineno, f"{name} expects {want} argument(s)")
         try:
-            qubits = tuple(int(t) for t in toks[1 : 1 + arity])
+            qubits = tuple(int(t) for t in toks[1 : 1 + spec.arity])
         except ValueError:
             raise ZxcSyntaxError(lineno, "qubit indices must be integers") from None
-        phase = None
-        if name in _PARAMETRIC:
-            try:
-                phase = parse_phase(toks[1 + arity])
-            except ValueError as e:
-                raise ZxcSyntaxError(lineno, str(e)) from None
+        try:
+            phase = parse_phase(toks[-1]) if spec.parametric else None
+        except ValueError as e:
+            raise ZxcSyntaxError(lineno, str(e)) from None
         if any(q < 0 or q >= width for q in qubits):
             raise ZxcSyntaxError(lineno, f"qubit index out of range 0..{width - 1}")
-        if len(set(qubits)) != len(qubits):
-            raise ZxcSyntaxError(lineno, f"{name} qubits must be distinct")
-        gates.append(Gate(name, qubits, phase))
+        try:
+            gates.append(Gate(name, qubits, phase))
+        except ValueError as e:
+            raise ZxcSyntaxError(lineno, str(e)) from None
     if width is None:
         raise ZxcSyntaxError(1, "missing 'qubits N' header")
     return Circuit(width, tuple(gates))
@@ -173,15 +201,9 @@ def circuit_to_diagram(c: Circuit) -> Diagram:
         return v
 
     for g in c.gates:
-        if g.name == "h":
-            put(g.qubits[0], VertexKind.H)
-        elif g.name in _FIXED_PHASES:
-            kind = VertexKind.X if g.name == "x" else VertexKind.Z
-            put(g.qubits[0], kind, _FIXED_PHASES[g.name])
-        elif g.name == "rz":
-            put(g.qubits[0], VertexKind.Z, g.phase)
-        elif g.name == "rx":
-            put(g.qubits[0], VertexKind.X, g.phase)
+        spec = GATES[g.name]
+        if spec.arity == 1:
+            put(g.qubits[0], spec.kind, spec.phase if g.phase is None else g.phase)
         elif g.name == "cnot":
             ctrl, tgt = g.qubits
             zc = put(ctrl, VertexKind.Z, Phase.zero())
@@ -206,35 +228,11 @@ def circuit_to_diagram(c: Circuit) -> Diagram:
     return d
 
 
-# -- gate unitaries --------------------------------------------------------------
-
-_OMEGA = np.exp(1j * np.pi / 4)
-
-#: the unitary of every gate without a phase; a two-qubit gate's first
-#: qubit is the most significant bit of its 4x4 matrix.  No entry holds a
-#: -0 (a literal ``-1j`` has one in its real part): a -0 can survive into a
-#: product's zero entries, and ``zxq eval`` prints it as ``-0``.
-GATE_UNITARIES = {
-    name: np.array(m, dtype=complex)
-    for name, m in {
-        "h": HADAMARD,
-        "t": [[1, 0], [0, _OMEGA]],
-        "tdg": [[1, 0], [0, _OMEGA.conjugate()]],
-        "s": [[1, 0], [0, 1j]],
-        "sdg": [[1, 0], [0, complex(0, -1)]],
-        "z": [[1, 0], [0, -1]],
-        "x": [[0, 1], [1, 0]],
-        "cnot": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        "cz": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
-        "swap": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-    }.items()
-}
-
-
 def _unitary(g: Gate) -> np.ndarray:
-    if g.phase is None:
-        return GATE_UNITARIES[g.name]
-    rotation = x_phase_matrix if g.name == "rx" else z_phase_matrix
+    spec = GATES[g.name]
+    if spec.unitary is not None:
+        return spec.unitary
+    rotation = x_phase_matrix if spec.kind == VertexKind.X else z_phase_matrix
     return rotation(g.phase.radians)
 
 
@@ -306,18 +304,17 @@ def selinger_bian_fixtures() -> list[RelationFixture]:
     same unitary up to a scalar; relations 15 and 16 square a circuit to
     the identity and 17 composes a circuit with its inverse.
     """
-    fixtures = []
+    fixtures, names = [], fixture_asset_names()
     for i in range(1, FIXTURE_COUNT + 1):
-        sides = {}
-        for side in ("lhs", "rhs"):
-            name = f"rel{i:02d}_{side}.zxc"
+        sides = []
+        for name in names[2 * i - 2 : 2 * i]:  # relation i's lhs and rhs
             try:
-                sides[side] = parse_circuit(_read_asset(name))
+                sides.append(parse_circuit(_read_asset(name)))
             except ZxcSyntaxError as e:
                 raise FixtureError(f"corrupt fixture asset {name!r}: {e}") from e
-        if sides["lhs"].width != 2 or sides["rhs"].width != 2:
+        if any(side.width != 2 for side in sides):
             raise FixtureError(f"fixture {i} is not a 2-qubit relation")
-        fixtures.append(RelationFixture(i, sides["lhs"], sides["rhs"]))
+        fixtures.append(RelationFixture(i, *sides))
     return fixtures
 
 

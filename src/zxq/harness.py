@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rewrite as rw
 from .circuits import (
+    GATES,
     INVERSE_PAIR_FIXTURE,
     SQUARED_FIXTURES,
     Circuit,
@@ -441,17 +442,18 @@ def random_clifford_t_circuit(
     rng: random.Random, width: int = 2, max_gates: int = 40
 ) -> Circuit:
     """A uniform-ish random Clifford+T circuit, used by the translation and
-    simplifier campaigns."""
-    names = ["h", "t", "tdg", "s", "sdg", "z", "x", "cnot", "cz", "swap", "rz", "rx"]
+    simplifier campaigns: each gate's name is drawn from :data:`GATES` in
+    its order, so that order fixes the draws."""
+    names = tuple(GATES)
     gates = []
     for _ in range(rng.randrange(max_gates + 1)):
         name = rng.choice(names)
-        if name in ("cnot", "cz", "swap"):
+        if GATES[name].arity == 2:
             if width < 2:
                 continue
             a, b = rng.sample(range(width), 2)
             gates.append(Gate(name, (a, b)))
-        elif name in ("rz", "rx"):
+        elif GATES[name].parametric:
             gates.append(Gate(name, (rng.randrange(width),), Phase.exact(rng.randrange(8), 4)))
         else:
             gates.append(Gate(name, (rng.randrange(width),)))

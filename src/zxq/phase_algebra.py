@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import Phase, circular_distance
+from .semantics import HADAMARD
 
 #: threshold (relative to the term magnitudes) below which a configuration
 #: is routed to the degenerate/singular paths
@@ -149,8 +150,7 @@ def z_phase_matrix(rad: float) -> np.ndarray:
 
 
 def x_phase_matrix(rad: float) -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    return h @ z_phase_matrix(rad) @ h
+    return HADAMARD @ z_phase_matrix(rad) @ HADAMARD
 
 
 def zxz_matrix(t: EulerTriple) -> np.ndarray:

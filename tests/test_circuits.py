@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zxq.circuits import (
+    GATES,
     Circuit,
     FixtureError,
     Gate,
@@ -50,25 +51,34 @@ def test_parse_comments_and_blank_lines():
     assert c.gates == (Gate("t", (0,)),)
 
 
+#: (text, a short name for its fault, the whole message of its error)
+_PARSE_ERRORS = [
+    ("qubits 2\ncnot 0 0\n", "distinct", "line 2: cnot qubits must be distinct"),
+    ("qubits 1\nh 5\n", "out of range", "line 2: qubit index out of range 0..0"),
+    ("qubits 1\nfoo 0\n", "unknown gate", "line 2: unknown gate 'foo'"),
+    ("h 0\n", "qubits", "line 1: expected 'qubits N' header"),
+    ("qubits 1\nrz 0\n", "argument", "line 2: rz expects 2 argument(s)"),
+    ("qubits 1\nrz 0 x\n", "bad", "line 2: bad phase 'x' (want p/d or f:<float>)"),
+    ("qubits 1\nrz 0 1/0\n", "denominator must be positive",
+     "line 2: phase denominator must be positive"),
+    ("qubits 1\nrz 0 1/-2\n", "denominator must be positive",
+     "line 2: phase denominator must be positive"),
+    ("qubits 1\nrz 0 f:inf\n", "finite", "line 2: radian phase must be finite, got inf"),
+    ("qubits 1\nrx 0 f:nan\n", "finite", "line 2: radian phase must be finite, got nan"),
+    ("qubits 0\n", "positive", "line 1: qubit count must be positive"),
+    # two faults on one line: the phase is reported before the range
+    ("qubits 1\nrz 5 x\n", "phase before range",
+     "line 2: bad phase 'x' (want p/d or f:<float>)"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, match",
-    [
-        ("qubits 2\ncnot 0 0\n", "distinct"),
-        ("qubits 1\nh 5\n", "out of range"),
-        ("qubits 1\nfoo 0\n", "unknown gate"),
-        ("h 0\n", "qubits"),
-        ("qubits 1\nrz 0\n", "argument"),
-        ("qubits 1\nrz 0 x\n", "bad"),
-        ("qubits 1\nrz 0 1/0\n", "denominator must be positive"),
-        ("qubits 1\nrz 0 1/-2\n", "denominator must be positive"),
-        ("qubits 1\nrz 0 f:inf\n", "finite"),
-        ("qubits 1\nrx 0 f:nan\n", "finite"),
-        ("qubits 0\n", "positive"),
-    ],
+    "text, message", [pytest.param(t, m, id=f"{t}-{fault}") for t, fault, m in _PARSE_ERRORS]
 )
-def test_parse_errors_carry_line(text, match):
-    with pytest.raises(ZxcSyntaxError, match=match):
+def test_parse_errors_carry_line(text, message):
+    with pytest.raises(ZxcSyntaxError) as exc:
         parse_circuit(text)
+    assert str(exc.value) == message
 
 
 def test_parse_error_line_number():
@@ -87,6 +97,45 @@ def circuits(draw):
 @given(circuits())
 def test_parse_print_round_trip(c):
     assert parse_circuit(format_circuit(c)) == c
+
+
+# every ROADMAP baseline is measured on these draws; the seed draws every name
+_DRAWN_11 = """qubits 3
+cz 1 2
+cz 2 0
+tdg 2
+cnot 2 0
+t 1
+sdg 0
+t 2
+rx 2 0/1
+swap 1 2
+rz 2 1/2
+swap 0 2
+h 0
+s 0
+swap 0 1
+z 1
+swap 0 2
+rz 1 7/4
+h 2
+t 1
+rz 1 3/2
+cz 0 1
+z 0
+cz 1 0
+t 2
+t 1
+t 1
+x 0
+h 2
+"""
+
+
+def test_random_circuit_draws_are_pinned():
+    c = random_clifford_t_circuit(random.Random(11), width=3, max_gates=40)
+    assert format_circuit(c) == _DRAWN_11
+    assert {g.name for g in c.gates} == set(GATES)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,6 +291,15 @@ def test_oracle_bit_identical_on_every_gate_placement(width):
     # acts on a matrix with no zero entries left to hide a wrong axis
     c = Circuit(width, tuple(gates + gates[::-1]))
     assert _same_bits(circuit_matrix(c), _reference_circuit_matrix(c))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_translation_sound_on_every_gate_placement(width):
+    # a row added to the gate table must be added to _every_placement too
+    assert {g.name for g in _every_placement(width)} == set(GATES)
+    for g in _every_placement(width):
+        c = Circuit(width, (g,))
+        assert equal_up_to_scalar(evaluate(circuit_to_diagram(c)), circuit_matrix(c), 1e-9).equal, g
 
 
 def test_gate_matrix_reversed_and_non_adjacent_qubits():
