@@ -3,6 +3,7 @@
 The format is UTF-8 JSON with four keys:
 
 * ``inputs`` / ``outputs``: lists of node ids (strings), in port order;
+  each must list every node of its kind, once;
 * ``nodes``: list of ``{"id", "kind", "phase"?}`` objects, ``kind`` one of
   ``"Z" | "X" | "H" | "in" | "out"``, ``phase`` either ``{"num", "den"}``
   (an exact multiple of pi) or ``{"rad"}``, written for every spider
@@ -73,6 +74,8 @@ def deserialize(text: str) -> Diagram:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ZxgFormatError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ZxgFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ZxgFormatError("top level must be an object")
     for key in ("inputs", "outputs", "nodes", "edges"):
@@ -100,6 +103,8 @@ def deserialize(text: str) -> Diagram:
         else:
             raise ZxgFormatError(f"{where}: unknown kind {kind!r}")
 
+    # the nodes registered their ports in node order; the file's order wins
+    unlisted = []
     for name, kind in (("inputs", VertexKind.IN), ("outputs", VertexKind.OUT)):
         seen = set()
         for j, nid in enumerate(doc[name]):
@@ -111,8 +116,10 @@ def deserialize(text: str) -> Diagram:
             if nid in seen:
                 raise ZxgFormatError(f"{where}: repeated port {nid!r}")
             seen.add(nid)
-        lst = d._inputs if name == "inputs" else d._outputs
-        lst[:] = [ids[nid] for nid in doc[name]]
+        ports = d._inputs if name == "inputs" else d._outputs
+        if len(seen) < len(ports):
+            unlisted.append(name[:-1])
+        ports[:] = [ids[nid] for nid in doc[name]]
 
     for j, pair in enumerate(doc["edges"]):
         where = f"edges[{j}]"
@@ -128,6 +135,8 @@ def deserialize(text: str) -> Diagram:
         d.validate()
     except InvalidDiagramError as e:
         raise ZxgFormatError(str(e)) from e
+    if unlisted:
+        raise ZxgFormatError(f"{unlisted[0]} vertices not all registered in port order")
     return d
 
 

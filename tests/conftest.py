@@ -5,13 +5,24 @@ from __future__ import annotations
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from zxq.diagram import Diagram, VertexKind
+from zxq.diagram import SPIDER_KINDS, Diagram, VertexKind
 from zxq.phase import Phase
 
 # the same examples on every run, so a tier-1 result does not depend on
 # the draw or on a local example database
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+def assert_well_formed(d: Diagram) -> None:
+    """The invariants that the mutators keep and :meth:`Diagram.validate`
+    leaves unchecked: every spider has a phase, every adjacency key is a
+    vertex, and each port list holds every vertex of its kind, once."""
+    vs = d.vertices()
+    assert all(v in d._phases for v in vs if d.kind(v) in SPIDER_KINDS)
+    assert sorted(d._adj) == vs and all(w in d for c in d._adj.values() for w in c)
+    for ports, kind in ((d._inputs, VertexKind.IN), (d._outputs, VertexKind.OUT)):
+        assert sorted(ports) == [v for v in vs if d.kind(v) == kind], kind
 
 
 @st.composite
@@ -77,4 +88,5 @@ def small_diagrams(draw, max_spiders: int = 4, max_ports: int = 3):
             d.add_edge(u, h)
             d.add_edge(h, v)
     d.validate()
+    assert_well_formed(d)
     return d

@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zxq.circuits import (
@@ -69,6 +69,9 @@ _PARSE_ERRORS = [
     # two faults on one line: the phase is reported before the range
     ("qubits 1\nrz 5 x\n", "phase before range",
      "line 2: bad phase 'x' (want p/d or f:<float>)"),
+    ("qubits two\n", "count not an integer", "line 1: qubit count must be an integer"),
+    ("qubits 2\ncnot 0 b\n", "index not an integer", "line 2: qubit indices must be integers"),
+    ("# only a comment\n", "no header", "line 1: missing 'qubits N' header"),
 ]
 
 
@@ -95,6 +98,7 @@ def circuits(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(circuits())
+@example(Circuit(1, (Gate("rz", (0,), Phase.approx(0.3)),)))  # printed as f:0.3
 def test_parse_print_round_trip(c):
     assert parse_circuit(format_circuit(c)) == c
 

@@ -60,6 +60,14 @@ def test_eval_rejects_a_radian_phase_too_large_for_a_float(files, capsys):
     assert capsys.readouterr().err == "error: nodes[0]: radian phase must be finite, got inf\n"
 
 
+def test_eval_rejects_a_zxg_nested_deeper_than_the_recursion_limit(files, capsys):
+    (files / "deep.zxg").write_text("[" * 200_000)
+    assert cli_main(["eval", str(files / "deep.zxg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: JSON nested too deeply\n"
+
+
 def test_check_equal(files):
     assert cli_main(["check", str(files / "cnotcnot.zxc"), str(files / "id2.zxc")]) == 0
 
@@ -70,6 +78,13 @@ def test_check_mixed_formats(files):
 
 def test_check_unequal_exits_one(files):
     assert cli_main(["check", str(files / "t.zxc"), str(files / "s.zxc")]) == 1
+
+
+def test_check_different_widths_exits_one(files, capsys):
+    assert cli_main(["check", str(files / "t.zxc"), str(files / "id2.zxc")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "shapes differ: (2, 2) vs (4, 4)\n"
 
 
 def test_check_two_zero_maps(files, capsys):

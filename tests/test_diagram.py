@@ -18,7 +18,7 @@ from zxq.diagram import (
 from zxq.phase import Phase
 from zxq.semantics import equal_up_to_scalar, evaluate
 
-from .conftest import small_diagrams
+from .conftest import assert_well_formed, small_diagrams
 
 
 def test_compose_identities():
@@ -220,13 +220,17 @@ def test_tensor_order_changes_only_ports(d1, d2):
     t = d1.tensor(d2)
     assert t.signature == (d1.n_inputs + d2.n_inputs, d1.n_outputs + d2.n_outputs)
     t.validate()
+    assert_well_formed(t)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_diagrams(max_spiders=2, max_ports=2), small_diagrams(max_spiders=2, max_ports=2),
        small_diagrams(max_spiders=2, max_ports=2))
 def test_tensor_associative_up_to_iso(a, b, c):
-    assert a.tensor(b).tensor(c).iso_equal(a.tensor(b.tensor(c)))
+    left, right = a.tensor(b).tensor(c), a.tensor(b.tensor(c))
+    assert_well_formed(left)
+    assert_well_formed(right)
+    assert left.iso_equal(right)
 
 
 @settings(max_examples=25, deadline=None)
@@ -250,7 +254,10 @@ def test_compose_associative_up_to_iso(a, b, c):
         return d
 
     a, b, c = as_two_by_two(a), as_two_by_two(b), as_two_by_two(c)
-    assert a.compose(b).compose(c).iso_equal(a.compose(b.compose(c)))
+    left, right = a.compose(b).compose(c), a.compose(b.compose(c))
+    assert_well_formed(left)
+    assert_well_formed(right)
+    assert left.iso_equal(right)
 
 
 def test_validate_hbox_degree():
@@ -270,6 +277,18 @@ def test_validate_boundary_degree():
     d.add_edge(b, v)
     with pytest.raises(InvalidDiagramError):
         d.validate()
+
+
+@pytest.mark.parametrize("kind", [VertexKind.IN, VertexKind.OUT])
+def test_add_vertex_registers_a_boundary_in_its_port_list(kind):
+    d = spider_diagram(VertexKind.Z, Phase.exact(1, 4), 1, 1)
+    (s,) = d.spiders()
+    b = d.add_vertex(kind)
+    d.add_edge(b, s)
+    d.validate()
+    assert_well_formed(d)
+    ports, other = (d.inputs, d.outputs) if kind == VertexKind.IN else (d.outputs, d.inputs)
+    assert len(ports) == 2 and ports[-1] == b and len(other) == 1
 
 
 def test_degree_counts_self_loops_twice():

@@ -1,19 +1,23 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from zxq.diagram import VertexKind, spider_diagram
+from zxq.diagram import VertexKind, identity_diagram, spider_diagram
 from zxq.diagram_io import ZxgFormatError, deserialize, serialize
 from zxq.phase import Phase
+from zxq.semantics import evaluate
 
-from .conftest import small_diagrams
+from .conftest import assert_well_formed, small_diagrams
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_diagrams())
 def test_round_trip(d):
-    assert deserialize(serialize(d)).iso_equal(d)
+    back = deserialize(serialize(d))
+    assert_well_formed(back)
+    assert back.iso_equal(d)
 
 
 def test_round_trip_reparse_stable():
@@ -62,6 +66,26 @@ def test_parallel_edges_survive():
     assert d.edge_mult(u, v) == 2
 
 
+def test_ports_load_in_file_order_not_node_order():
+    # the inputs are listed crosswise to the nodes, so the two wires swap
+    doc = {
+        "inputs": ["i1", "i0"],
+        "outputs": ["o0", "o1"],
+        "nodes": [
+            {"id": "i0", "kind": "in"},
+            {"id": "i1", "kind": "in"},
+            {"id": "o0", "kind": "out"},
+            {"id": "o1", "kind": "out"},
+        ],
+        "edges": [["i0", "o0"], ["i1", "o1"]],
+    }
+    d = deserialize(json.dumps(doc))
+    assert_well_formed(d)
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert np.array_equal(evaluate(d), swap)
+    assert np.array_equal(evaluate(identity_diagram(1).tensor(d)), np.kron(np.eye(2), swap))
+
+
 def test_hbox_degree_violation_rejected():
     doc = {
         "inputs": [],
@@ -104,9 +128,33 @@ def test_malformed_json_reports_position():
             lambda doc: doc["nodes"][2].__setitem__("phase", {"num": 1, "den": True}),
             r"nodes\[2\]: num/den must",
         ),
+        (
+            lambda doc: doc["nodes"][2].__setitem__("phase", 0.25),
+            r"nodes\[2\]: phase must be an object",
+        ),
+        (
+            lambda doc: doc["nodes"][2].__setitem__("phase", {"num": 1, "den": 0}),
+            r"nodes\[2\]: denominator must be positive",
+        ),
+        ("[]", "^top level must be an object$"),
+        (lambda doc: doc["nodes"].append({"id": "q"}), r"nodes\[3\]: need id and kind"),
+        (
+            lambda doc: doc["nodes"].append({"id": "h", "kind": "H", "phase": {"num": 0}}),
+            r"nodes\[3\]: 'H' cannot carry a phase",
+        ),
+        (lambda doc: doc["outputs"].append("b"), r"outputs\[1\]: repeated port 'b'"),
+        (lambda doc: doc["edges"].append(["a"]), r"edges\[2\]: edge must be a pair"),
+        (lambda doc: doc["inputs"].clear(), "^input vertices not all registered in port order$"),
+        (lambda doc: doc["outputs"].clear(), "^output vertices not all registered in port order$"),
+        # an unlisted boundary with a wire too many: the degree is reported first
+        (
+            lambda doc: (doc["inputs"].clear(), doc["edges"].append(["a", "s"])),
+            "^boundary vertex 0 has degree 2, not 1$",
+        ),
     ],
 )
 def test_schema_errors(mutate, match):
+    """``mutate`` edits a valid document in place, or is the whole text."""
     doc = {
         "inputs": ["a"],
         "outputs": ["b"],
@@ -117,6 +165,10 @@ def test_schema_errors(mutate, match):
         ],
         "edges": [["a", "s"], ["s", "b"]],
     }
-    mutate(doc)
+    if isinstance(mutate, str):
+        text = mutate
+    else:
+        mutate(doc)
+        text = json.dumps(doc)
     with pytest.raises(ZxgFormatError, match=match):
-        deserialize(json.dumps(doc))
+        deserialize(text)

@@ -21,6 +21,8 @@ from zxq.rewrite import (
 )
 from zxq.semantics import equal_up_to_scalar, evaluate
 
+from .conftest import assert_well_formed
+
 
 def wire_chain(*specs):
     """A 1->1 diagram with the given (kind, phase) vertices on one wire."""
@@ -80,6 +82,21 @@ def test_fuse_parallel_edges_become_loops():
     (w,) = out.spiders()
     assert out.self_loops(w) == 2
     assert_semantics_preserved(d, out)
+
+
+@pytest.mark.parametrize("loops", [1, 2])
+@pytest.mark.parametrize("kind", [VertexKind.Z, VertexKind.X])
+def test_fuse_moves_the_removed_spiders_self_loops(kind, loops):
+    d, (a, b) = wire_chain((kind, Phase.exact(1, 4)), (kind, Phase.approx(0.5)))
+    d.add_edge(b, b, loops)
+    out = RULES["S1"].apply(d, (a, b))
+    assert b not in out and out.self_loops(a) == loops
+    assert_well_formed(out)
+    assert_semantics_preserved(d, out)
+    # simplify's first pass seeds the looped spider's wire sites, (b, b) too
+    trace = _assert_same_as_rescan(d, full=True)
+    assert trace.steps[0] == RewriteStep("S1", (a, b))
+    assert_semantics_preserved(d, trace.final)
 
 
 def test_fuse_rejects_colour_mismatch():
@@ -448,6 +465,7 @@ def test_registered_reverse_orientations_are_sound():
                 continue
             out = rule.reverse.apply(d, sites[0])
             out.validate()
+            assert_well_formed(out)
             assert_semantics_preserved(d, out)
 
 
@@ -587,6 +605,7 @@ def test_rewrite_in_place_matches_copying_apply(seed):
                 before = d.digest()
                 out = apply(d, s)
                 assert d.digest() == before, name
+                assert_well_formed(out)
                 g = d.copy()
                 assert rewrite(g, s) is None
                 assert out.take_touched() == g.take_touched(), name
@@ -768,6 +787,7 @@ def _ladder_circuit(width, n, seed=1):
 
 def _assert_same_as_rescan(d, **kwargs):
     out, trace = simplify(d, **kwargs)
+    assert_well_formed(out)
     ref_out, ref = _reference_simplify(d, **kwargs)
     assert trace.steps == ref.steps
     assert trace.truncated == ref.truncated
