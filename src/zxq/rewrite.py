@@ -97,14 +97,9 @@ def _spiders_at(d: Diagram, vs) -> set[Site]:
 
 
 def _wires_at(d: Diagram, vs) -> set[Site]:
-    """The :func:`_wires` sites that hold a vertex of ``vs``."""
-    sites = set()
-    for v in vs:
-        if v in d:
-            sites.update((v, w) if v < w else (w, v) for w in d.neighbors(v))
-            if d.self_loops(v):
-                sites.add((v, v))
-    return sites
+    """The :func:`_wires` sites that hold a vertex of ``vs``, less the
+    ``(v, v)`` ones, where no core rule matches: each wants two vertices."""
+    return {(v, w) if v < w else (w, v) for v in vs if v in d for w in d.neighbors(v)}
 
 
 # the core rules' candidate enumerators, each with its form local to some vertices

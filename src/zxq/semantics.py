@@ -11,23 +11,25 @@ the most significant bit of the row (outputs) / column (inputs) index.
 
 A spider of degree d is built as A + e^{ia} B from a basis pair kept per
 colour and degree: A = |0>^d and B = |1>^d for Z, A = |+>^d and B = |->^d
-for X.  The pairs are read-only and kept only up to degree
-``_BASIS_CACHE_DEGREE``; a higher degree builds its pair each time.  Every
-H-box shares the read-only :data:`HADAMARD`, and every boundary-to-boundary
-wire one read-only identity.
+for X.  The pairs are read-only and kept up to ``_BASIS_CACHE_DEGREE``; a
+spider with an exact multiple of pi/4 as its phase keeps its whole tensor,
+read-only, up to ``_SPIDER_CACHE_DEGREE``.  Every H-box shares the read-only
+:data:`HADAMARD`, and every boundary-to-boundary wire one read-only identity.
 
 Evaluation plans on the tensors' label lists alone, then one executor
 runs the plan.  A step ``(i, j, shared, out_labels)`` contracts tensors i
-and j into a new one; ids are creation order, the initial tensors in vertex
-order and then one per step.  The greedy plan merges the adjacent pair with
-the fewest open legs first, ties going to the lower id and then the higher.
-The fold merges the tensors into one in creation order; on a circuit's
-diagram, whose vertices come in gate order, its peak stays near twice the
-width, where greedy's depends on the gate sequence.  Greedy is kept unless
-its peak is above the fold's, which one pass over the labels gives, and only
-then are the fold's steps built.  Every step's rank is known before any
-work, as is the result's, so a step or a result above the entry cap raises
-:class:`ResourceLimitError` before any contraction.
+and j into one with i's unshared legs, then j's; ids are creation order, the
+initial tensors in vertex order and then one per step.  The greedy plan
+merges the adjacent pair with the fewest open legs first, ties going to the
+lower id and then the higher.  The fold merges the tensors into one in
+creation order; on a circuit's diagram, whose vertices come in gate order,
+its peak stays near twice the width, where greedy's depends on the gate
+sequence.  Greedy is kept unless its peak is above the fold's, which one
+pass over the labels gives, and only then are the fold's steps built.  Every
+step's rank is known before any work, as is the result's, so a step or a
+result above the entry cap raises :class:`ResourceLimitError` before any
+contraction.  The executor, the one place a contraction result is made,
+calls ``np.dot`` on the very matrices ``np.tensordot`` would build.
 
 The tensors left once no wire joins two of them (one per connected piece)
 are multiplied out in creation order, starting from the first, and the
@@ -68,9 +70,11 @@ _KETS = {
     VertexKind.Z: (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
     VertexKind.X: tuple(HADAMARD),
 }
-#: the highest degree whose basis pair is kept (2^10 entries, 16 kB an array)
-_BASIS_CACHE_DEGREE = 10
+#: the highest degrees whose basis pair (2^10 entries, 16 kB an array) and
+#: spider tensors (2 colours x 8 phases x 7 degrees at most, 33 kB) are kept
+_BASIS_CACHE_DEGREE, _SPIDER_CACHE_DEGREE = 10, 6
 _BASES: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+_SPIDERS: dict[tuple[str, int, int], np.ndarray] = {}
 
 
 class ResourceLimitError(RuntimeError):
@@ -94,6 +98,23 @@ def _spider_tensor(kind: str, phase: Phase, degree: int) -> np.ndarray:
     return a + np.exp(1j * phase.radians) * b
 
 
+def _spider(kind: str, phase: Phase, degree: int, used: set) -> np.ndarray:
+    """:func:`_spider_tensor`, kept in ``_SPIDERS`` for an exact pi/4 phase.
+    A kept tensor already ``used`` in the diagram is copied: numpy multiplies
+    an array by its own transpose with BLAS syrk, which rounds unlike gemm."""
+    f = phase.frac
+    if f is None or degree > _SPIDER_CACHE_DEGREE or 4 % f.denominator:
+        return _spider_tensor(kind, phase, degree)
+    key = (kind, f.numerator * 4 // f.denominator, degree)
+    t = _SPIDERS.get(key)
+    if t is None:
+        t = _SPIDERS[key] = _read_only(_spider_tensor(kind, phase, degree))
+    elif key in used:
+        return t.copy()
+    used.add(key)
+    return t
+
+
 def _trace_duplicates(t: np.ndarray, labels: list) -> tuple[np.ndarray, list]:
     # self-loops put the same wire label on two axes of one tensor; each
     # pass traces the first repeated label at its two positions
@@ -107,43 +128,36 @@ def _trace_duplicates(t: np.ndarray, labels: list) -> tuple[np.ndarray, list]:
 
 def _wire_tensors(d: Diagram, max_entries: int) -> list[tuple[np.ndarray, list]]:
     """One tensor per wire between two boundaries, then one per interior
-    vertex, in vertex order.  Open legs are labelled ``("in", k)`` /
-    ``("out", k)``; each interior wire gets an int label held by exactly two
-    tensors (a self-loop is traced away at once)."""
-    ext: dict[int, tuple] = {}
-    for k, v in enumerate(d.inputs):
-        ext[v] = ("in", k)
-    for k, v in enumerate(d.outputs):
-        ext[v] = ("out", k)
-
-    slots: dict[int, list] = {v: [] for v in d.vertices() if v not in ext}
-    tensors: list[tuple[np.ndarray, list]] = []
-    fresh = 0
-    for u, v, m in d.edges():
-        for _ in range(m):
-            if u in ext and v in ext:
-                tensors.append((_ID2, [ext[u], ext[v]]))
-            elif u in ext:
+    vertex, in vertex order, from one pass over the wires in edges() order.
+    Open legs are labelled ``("in", k)`` / ``("out", k)``; each interior wire
+    gets an int label held by two tensors (a self-loop is traced at once)."""
+    ext = {v: ("in", k) for k, v in enumerate(d.inputs)}
+    ext.update({v: ("out", k) for k, v in enumerate(d.outputs)})
+    adj, kinds, phases, order = d._adj, d._kinds, d._phases, sorted(d._adj)
+    slots: dict[int, list] = {v: [] for v in order if v not in ext}
+    wires, tensors, used, fresh = [], [], set(), 0
+    for u in order:
+        nbrs, su = adj[u], slots.get(u)
+        if su is None:  # a boundary: its one wire is read here if it leads up
+            (v,) = nbrs
+            if v > u and v in slots:
                 slots[v].append(ext[u])
-            elif v in ext:
-                slots[u].append(ext[v])
-            else:
-                label = fresh
-                fresh += 1
-                slots[u].append(label)
-                slots[v].append(label)
-
-    for v, labels in slots.items():
-        kind = d.kind(v)
-        deg = len(labels)
-        if 2**deg > max_entries:
-            raise ResourceLimitError(f"vertex {v} needs a tensor of 2^{deg} entries")
-        if kind == VertexKind.H:
-            t = HADAMARD
-        else:
-            t = _spider_tensor(kind, d.phase(v), deg)
-        tensors.append(_trace_duplicates(t, labels))
-    return tensors
+            elif v > u:
+                wires.append((_ID2, [ext[u], ext[v]]))
+            continue
+        for v in sorted(nbrs):  # the wires to lower ids are labelled already
+            if v > u and v not in slots:
+                su.append(ext[v])
+            elif v >= u:
+                for _ in range(nbrs[v]):
+                    su.append(fresh)
+                    slots[v].append(fresh)
+                    fresh += 1
+        if 2 ** len(su) > max_entries:
+            raise ResourceLimitError(f"vertex {u} needs a tensor of 2^{len(su)} entries")
+        t = HADAMARD if kinds[u] == VertexKind.H else _spider(kinds[u], phases[u], len(su), used)
+        tensors.append(_trace_duplicates(t, su) if u in nbrs else (t, su))
+    return wires + tensors
 
 
 def _plan_greedy(labels: list[list], max_rank: int) -> list[tuple] | None:
@@ -175,7 +189,7 @@ def _plan_greedy(labels: list[list], max_rank: int) -> list[tuple] | None:
             continue
         if rank > max_rank:
             return None
-        shared = sorted(set(la) & set(lb), key=str)
+        shared = sorted(set(la).intersection(lb), key=str)
         out = [x for x in la if x not in shared] + [x for x in lb if x not in shared]
         k = len(labels)
         labels[i] = labels[j] = None
@@ -197,16 +211,16 @@ def _plan_greedy(labels: list[list], max_rank: int) -> list[tuple] | None:
 def _fold_peak(labels: list[list]) -> int:
     """Peak rank of :func:`_plan_fold`: the running tensor's legs are the
     symmetric difference of the label sets folded in so far."""
-    legs, peak = set(), 0
-    for k, lbs in enumerate(labels):
-        legs ^= set(lbs)
-        peak = max(peak, len(legs) if k else 0)
+    legs, peak = set(labels[0] if labels else ()), 0
+    for lbs in labels[1:]:
+        legs.symmetric_difference_update(lbs)
+        peak = max(peak, len(legs))
     return peak
 
 
 def _plan_fold(labels: list[list]) -> list[tuple]:
     """The fold's steps.  The new tensor goes first and the running one
-    second, its shared legs in its own axis order: ``tensordot`` then mostly
+    second, its shared legs in its own axis order: ``np.dot`` then mostly
     reads the running tensor's leading axes in place, not a transposed copy."""
     steps: list[tuple] = []
     run, held = 0, labels[0] if labels else []
@@ -220,13 +234,16 @@ def _plan_fold(labels: list[list]) -> list[tuple]:
 
 
 def _execute(tensors: list, steps: list[tuple]) -> list[tuple[np.ndarray, list]]:
-    """Run a plan; returns the tensors no step consumed, in creation order."""
+    """Run a plan; returns the tensors no step consumed, in creation order.
+    A step is the ``np.dot`` inside ``np.tensordot``, on the same operands."""
     tensors = list(tensors)
     for i, j, shared, out in steps:
         (ta, la), (tb, lb) = tensors[i], tensors[j]
-        t = np.tensordot(ta, tb, ([la.index(s) for s in shared], [lb.index(s) for s in shared]))
+        ka, n = len(la) - len(shared), 1 << len(shared)
+        a = ta.transpose(list(map(la.index, out[:ka] + shared))).reshape(-1, n)
+        b = tb.transpose(list(map(lb.index, shared + out[ka:]))).reshape(n, -1)
         tensors[i] = tensors[j] = None
-        tensors.append((t, out))
+        tensors.append((np.dot(a, b).reshape((2,) * len(out)), out))
     return [p for p in tensors if p is not None]
 
 
@@ -234,17 +251,15 @@ def _open_legs_matrix(d: Diagram, tensors: list) -> np.ndarray:
     """Outer product of the tensors in list order, with the open legs put
     in output-then-input port order, as a fresh (2^outputs, 2^inputs)
     matrix with no -0 entry."""
-    (result, labels), *rest = tensors or [(np.array(1.0, dtype=complex), [])]
-    for t, lbs in rest:
+    result, labels = tensors[0] if tensors else (np.array(1.0, dtype=complex), [])
+    for t, lbs in tensors[1:]:
         result = np.multiply.outer(result, t)
         labels = labels + lbs
-
     m, n = d.n_outputs, d.n_inputs
-    order = [("out", k) for k in range(m)] + [("in", k) for k in range(n)]
-    assert sorted(map(str, labels)) == sorted(map(str, order))
-    perm = [labels.index(lb) for lb in order]
-    result = np.transpose(result, perm) if perm else result
-    return result.reshape(2**m, 2**n) + 0.0
+    pos = dict(zip(labels, range(len(labels))))
+    perm = [pos.get(("out", k)) for k in range(m)] + [pos.get(("in", k)) for k in range(n)]
+    assert len(pos) == len(labels) == len(perm) and None not in perm, labels
+    return result.transpose(perm).reshape(2**m, 2**n) + 0.0
 
 
 def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
@@ -257,11 +272,11 @@ def evaluate(d: Diagram, *, max_entries: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
     d.validate()
     tensors = _wire_tensors(d, max_entries)
     labels = [lbs for _, lbs in tensors]
-    steps = _plan_greedy(labels, _fold_peak(labels))
+    steps = _plan_greedy(labels, _fold_peak(labels)) if len(labels) > 1 else []
     if steps is None:
         steps = _plan_fold(labels)
     # the product of the pieces left after the plan has the result's rank
-    for rank in [len(out) for *_, out in steps] + [d.n_inputs + d.n_outputs]:
+    for rank in [len(out) for _, _, _, out in steps] + [d.n_inputs + d.n_outputs]:
         if 2**rank > max_entries:
             raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
     return _open_legs_matrix(d, _execute(tensors, steps))
@@ -276,6 +291,12 @@ class ScalarVerdict:
     residual: float
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array, by numpy's own expression."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> ScalarVerdict:
     """Do ``a`` and ``b`` differ only by a nonzero complex factor?
 
@@ -285,17 +306,16 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -
     with no scalar, one against a nonzero matrix compares unequal (the
     existential "some tiny k" reading would make the verdict asymmetric).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = _norm(a), _norm(b)
     if na <= ZERO_FLOOR and nb <= ZERO_FLOOR:
         return ScalarVerdict(True, None, 0.0)
     if na <= ZERO_FLOOR or nb <= ZERO_FLOOR:
         return ScalarVerdict(False, None, 1.0)
     k = complex(np.vdot(a, b) / np.vdot(a, a))
-    residual = float(np.linalg.norm(b - k * a) / max(na, nb))
+    residual = _norm(b - k * a) / max(na, nb)
     return ScalarVerdict(residual <= tol and k != 0, k if k != 0 else None, residual)
 
 

@@ -93,7 +93,8 @@ def test_fuse_moves_the_removed_spiders_self_loops(kind, loops):
     assert b not in out and out.self_loops(a) == loops
     assert_well_formed(out)
     assert_semantics_preserved(d, out)
-    # simplify's first pass seeds the looped spider's wire sites, (b, b) too
+    # simplify's first pass seeds the looped spider's wire sites; (b, b) is
+    # not among them, as no core rule matches a wire from a vertex to itself
     trace = _assert_same_as_rescan(d, full=True)
     assert trace.steps[0] == RewriteStep("S1", (a, b))
     assert_semantics_preserved(d, trace.final)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,16 +22,21 @@ from zxq.rewrite import RULES
 from zxq.semantics import (
     _BASES,
     _BASIS_CACHE_DEGREE,
+    _ID2,
+    _SPIDER_CACHE_DEGREE,
+    _SPIDERS,
     DEFAULT_ENTRY_CAP,
     HADAMARD,
     ZERO_FLOOR,
     ResourceLimitError,
+    ScalarVerdict,
     _basis_pair,
     _execute,
     _fold_peak,
     _open_legs_matrix,
     _plan_fold,
     _plan_greedy,
+    _spider,
     _spider_tensor,
     _trace_duplicates,
     _wire_tensors,
@@ -255,8 +261,14 @@ def _reference_contract(tensors, max_entries):
 
 
 def reference_evaluate(d, max_entries=DEFAULT_ENTRY_CAP):
+    """Contraction by ``np.tensordot``, every spider on an array of its own,
+    as each was when spider tensors were built afresh per vertex."""
     d.validate()
-    tensors = _reference_contract(_wire_tensors(d, max_entries), max_entries)
+    tensors = [
+        (t if t is HADAMARD or t is _ID2 else np.array(t), labels)
+        for t, labels in _wire_tensors(d, max_entries)
+    ]
+    tensors = _reference_contract(tensors, max_entries)
     rank = d.n_inputs + d.n_outputs
     if 2**rank > max_entries:
         raise ResourceLimitError(f"contraction needs a tensor of 2^{rank} entries")
@@ -269,16 +281,17 @@ def assert_bit_identical(d):
     assert got.tobytes() == want.tobytes()
 
 
-def record_tensordot(monkeypatch):
-    """Patch ``np.tensordot`` to append each result's rank to a list."""
-    ranks, real = [], np.tensordot
+def record_contractions(monkeypatch):
+    """Patch ``np.dot``, the executor's one contraction call, to append the
+    rank of each product (a matrix of 2^rank entries) to a list."""
+    ranks, real = [], np.dot
 
-    def tensordot(*args, **kwargs):
+    def dot(*args, **kwargs):
         t = real(*args, **kwargs)
-        ranks.append(t.ndim)
+        ranks.append(t.size.bit_length() - 1)
         return t
 
-    monkeypatch.setattr(np, "tensordot", tensordot)
+    monkeypatch.setattr(np, "dot", dot)
     return ranks
 
 
@@ -290,7 +303,7 @@ def assert_plans_agree_with_executor(d, monkeypatch):
     greedy, fold = _plan_greedy(labels, math.inf), _plan_fold(labels)
     for steps in (greedy, fold):
         with monkeypatch.context() as m:
-            ranks = record_tensordot(m)
+            ranks = record_contractions(m)
             _execute(tensors, steps)
         assert ranks == [len(out) for *_, out in steps]
     assert _fold_peak(labels) == max((len(out) for *_, out in fold), default=0)
@@ -311,7 +324,7 @@ def test_indexed_contraction_matches_reference_on_circuits(width, monkeypatch):
 def test_indexed_contraction_matches_reference_on_rule_instances():
     rng = random.Random(17)
     for name, sampler in RULE_SAMPLERS.items():
-        for _ in range(8):
+        for _ in range(40):
             d, site = sampler(rng)
             assert_bit_identical(d)
             assert_bit_identical(RULES[name].apply(d, site))
@@ -360,6 +373,27 @@ def _pieces():
     return d.tensor(_closed_scalar()).tensor(_parallel_edges())
 
 
+def _kept_pair():
+    # two spiders with one kept tensor, (X, 3pi/2, degree 2): were both on
+    # one array, numpy would take its product with itself to BLAS syrk,
+    # whose rounding differs from gemm's in the last bit here
+    d = Diagram()
+    a = d.add_vertex(VertexKind.X, Phase.exact(3, 2))
+    b = d.add_vertex(VertexKind.X, Phase.exact(3, 2))
+    d.add_edge(a, b)
+    d.add_edge(b, d.add_output())
+    d.add_edge(a, d.add_output())
+    return d
+
+
+def _lone_loop():
+    # a spider whose only legs are a self-loop traces to a numpy scalar,
+    # which the fold then multiplies with the wire beside it
+    d = identity_diagram(1)
+    d.add_edge(*[d.add_vertex(VertexKind.Z, Phase.exact(1, 4))] * 2)
+    return d
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -371,8 +405,11 @@ def _pieces():
         _closed_scalar,
         empty_diagram,
         cap_diagram,
+        _kept_pair,
+        _lone_loop,
     ],
-    ids=["self-loops", "parallel", "wires", "pieces", "degree-0", "closed", "empty", "cap"],
+    ids=["self-loops", "parallel", "wires", "pieces", "degree-0", "closed", "empty", "cap",
+         "kept-pair", "lone-loop"],
 )
 def test_indexed_contraction_matches_reference_on_edge_cases(build, monkeypatch):
     d = build()
@@ -391,7 +428,7 @@ def test_resource_limit_at_the_same_caps_as_reference(monkeypatch):
     d = circuit_to_diagram(random_clifford_t_circuit(random.Random(3), 5, 120))
     caps = [2**k for k in range(14)]
     want = [_outcome(reference_evaluate, d, cap) for cap in caps]
-    ranks = record_tensordot(monkeypatch)
+    ranks = record_contractions(monkeypatch)
     got = []
     for cap in caps:
         ranks.clear()
@@ -409,7 +446,7 @@ def test_resource_limit_at_the_same_caps_as_reference(monkeypatch):
 @pytest.mark.parametrize("width, cap", [(11, DEFAULT_ENTRY_CAP), (3, 2**4)])
 def test_resource_limit_bounds_the_product_of_pieces(width, cap, monkeypatch):
     # bare wires need no plan step, but their product has 2^(2w) entries
-    ranks = record_tensordot(monkeypatch)
+    ranks = record_contractions(monkeypatch)
     with pytest.raises(ResourceLimitError, match=rf"tensor of 2\^{2 * width} entries"):
         evaluate(identity_diagram(width), max_entries=cap)
     assert ranks == []
@@ -548,6 +585,126 @@ def test_basis_cache_keeps_no_high_degree():
     assert np.allclose(got[:, 0], _reference_spider_tensor(VertexKind.X, p, 16).ravel())
     assert max(degree for _, degree in _BASES) <= _BASIS_CACHE_DEGREE
     assert len(_BASES) <= 2 * _BASIS_CACHE_DEGREE
+
+
+def test_kept_spider_tensors_are_read_only_copies_of_built_ones():
+    rng = random.Random(29)
+    for sampler in RULE_SAMPLERS.values():
+        for _ in range(4):
+            evaluate(sampler(rng)[0])
+    for kind in (VertexKind.Z, VertexKind.X):
+        for k in range(8):
+            for degree in range(_SPIDER_CACHE_DEGREE + 3):
+                _spider(kind, Phase(frac=Fraction(k, 4)), degree, set())
+    assert _SPIDERS
+    for (kind, k, degree), t in _SPIDERS.items():
+        want = _spider_tensor(kind, Phase.exact(k, 4), degree)
+        assert t.shape == want.shape and t.tobytes() == want.tobytes()
+        assert not t.flags.writeable
+    # at most one tensor per colour, pi/4 step and degree up to the bound
+    assert max(degree for *_, degree in _SPIDERS) <= _SPIDER_CACHE_DEGREE
+    assert len(_SPIDERS) <= 2 * 8 * (_SPIDER_CACHE_DEGREE + 1)
+    assert sum(t.nbytes for t in _SPIDERS.values()) < 100_000
+
+
+@pytest.mark.parametrize(
+    "phase, degree",
+    [(Phase.exact(1, 3), 2), (Phase.approx(0.7), 2), (Phase.exact(1, 4), _SPIDER_CACHE_DEGREE + 1)],
+    ids=["off-grid", "radians", "high-degree"],
+)
+def test_spider_tensors_outside_the_cache_are_built_each_time(phase, degree):
+    kept = dict(_SPIDERS)
+    first = _spider(VertexKind.Z, phase, degree, set())
+    again = _spider(VertexKind.Z, phase, degree, set())
+    assert first is not again and first.flags.writeable
+    assert first.tobytes() == _spider_tensor(VertexKind.Z, phase, degree).tobytes()
+    assert _SPIDERS.keys() == kept.keys()
+
+
+def test_spiders_of_one_diagram_never_share_an_array():
+    used: set = set()
+    p = Phase.exact(3, 2)
+    first, second = (_spider(VertexKind.X, p, 2, used) for _ in range(2))
+    assert first is _SPIDERS[VertexKind.X, 6, 2] and second is not first
+    assert second.tobytes() == first.tobytes() and second.flags.writeable
+    # nor do the tensors of any diagram, bar the shared Hadamard and identity
+    rng = random.Random(30)
+    for sampler in RULE_SAMPLERS.values():
+        for _ in range(8):
+            d = sampler(rng)[0].tensor(_kept_pair())
+            arrays = [t for t, _ in _wire_tensors(d, DEFAULT_ENTRY_CAP)]
+            own = [id(t) for t in arrays if t is not HADAMARD and t is not _ID2]
+            assert len(set(own)) == len(own)
+
+
+def _reference_equal_up_to_scalar(a, b, tol=1e-9):
+    """The comparison by ``np.linalg.norm``."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na <= ZERO_FLOOR and nb <= ZERO_FLOOR:
+        return ScalarVerdict(True, None, 0.0)
+    if na <= ZERO_FLOOR or nb <= ZERO_FLOOR:
+        return ScalarVerdict(False, None, 1.0)
+    k = complex(np.vdot(a, b) / np.vdot(a, a))
+    residual = float(np.linalg.norm(b - k * a) / max(na, nb))
+    return ScalarVerdict(residual <= tol and k != 0, k if k != 0 else None, residual)
+
+
+def _verdict_bits(v):
+    scalar = None if v.scalar is None else (v.scalar.real.hex(), v.scalar.imag.hex())
+    return v.equal, scalar, float(v.residual).hex(), type(v.residual)
+
+
+def _comparison_inputs():
+    rng = np.random.default_rng(29)
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for shape in [(1, 1), (2, 2), (4, 2), (8, 8), (16, 4)]:
+        a = rand(*shape)
+        yield a, rand(*shape)
+        yield a, (0.3 - 2j) * a
+        yield a, (0.3 - 2j) * a + 1e-10 * rand(*shape)
+        yield a, np.zeros(shape)
+        yield np.zeros(shape), np.zeros(shape)
+        # norms just under, at and just over the zero-map floor
+        unit = a / np.linalg.norm(a)
+        for scale in [ZERO_FLOOR * (1 - 1e-15), ZERO_FLOOR, ZERO_FLOOR * (1 + 1e-15), 1e-16]:
+            yield unit * scale, a
+            yield unit * scale, unit * scale * 1j
+    # views that are not C-contiguous, and real arrays
+    big = rand(8, 8)
+    yield big.T, (1 + 1j) * big.T
+    yield big[::2, 1::2], big[1::2, ::2]
+    yield big[:, ::3], rand(8, 3)
+    yield big.real, big.real * 2.0
+    yield np.arange(4.0).reshape(2, 2), np.eye(2)
+
+
+def test_equal_up_to_scalar_matches_the_linalg_norm_reference():
+    for a, b in _comparison_inputs():
+        for x, y in ((a, b), (b, a)):
+            got, want = equal_up_to_scalar(x, y), _reference_equal_up_to_scalar(x, y)
+            assert _verdict_bits(got) == _verdict_bits(want), (x, y)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [("out", 0), ("out", 0), ("in", 0)],
+        [("out", 0), ("in", 0), ("in", 5)],
+        [("out", 0), ("in", 0)],
+        [("out", 0), ("in", 0), ("in", 1), ("in", 2)],
+    ],
+    ids=["repeated", "missing", "too-few", "too-many"],
+)
+def test_open_legs_check_rejects_a_bad_label_list(labels):
+    d = spider_diagram(VertexKind.Z, Phase.zero(), 2, 1)
+    t = np.zeros((2,) * len(labels), dtype=complex)
+    with pytest.raises(AssertionError):
+        _open_legs_matrix(d, [(t, labels)])
 
 
 def test_open_legs_matrix_has_no_negative_zero():
